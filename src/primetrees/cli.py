@@ -7,7 +7,9 @@ count tables.  Exit status: 0 when every requested check passes, 1 when a
 check fails (a witness is printed), 2 on usage or input errors.
 
 Output is deterministic: identical invocations produce identical bytes.
-With `--format records` each output line is one JSON object.
+With `--format records` each output line is one JSON object.  Each command
+computes its values once into record objects and builds its text lines from
+the record fields, so the two formats cannot disagree.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from .critical import (
     noncritical_vertices,
 )
 from .enumeration import all_trees, canonical_form
-from .families import FAMILY_BUILDERS, FamilyTree, build_family
+from .families import FAMILY_BUILDERS, build_family
 from .graph import (
     Graph,
     GraphError,
     TreeCert,
+    as_tree,
     certify_tree,
     format_edge_list,
     read_edge_list,
@@ -61,10 +64,9 @@ class Report:
     records: list[dict] = field(default_factory=list)
     format: str = "text"
 
-    def add(self, line: str, record: dict | None = None) -> None:
-        self.lines.append(line)
-        if record is not None:
-            self.records.append(record)
+
+# What each `_cmd_*` returns: exit status, record objects, text lines.
+Outcome = tuple[int, list[dict], list[str]]
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +123,6 @@ def _parse_set(arg: str, labels: dict[str, int] | None, graph: Graph) -> tuple[i
     return tuple(sorted(set(ids)))
 
 
-def _display_ids(ids, labels: dict[str, int] | None) -> str:
-    if not labels:
-        return " ".join(str(v) for v in ids) or "(empty)"
-    back = {v: k for k, v in labels.items()}
-    return " ".join(f"{back.get(v, '?')}({v})" for v in ids) or "(empty)"
-
-
 def _label_list(ids, labels: dict[str, int] | None) -> list[str] | None:
     if not labels:
         return None
@@ -135,99 +130,94 @@ def _label_list(ids, labels: dict[str, int] | None) -> list[str] | None:
     return [back.get(v, "?") for v in ids]
 
 
-def _family_annotations(family: FamilyTree) -> dict[str, str]:
-    annotations = {
-        "family": f"{family.tag} {' '.join(map(str, family.params))}",
-        "labels": " ".join(f"{name}={idx}" for name, idx in family.labels.items()),
-    }
-    if tree_is_prime(family.cert):
-        sigma = noncritical_vertices(family.cert)
-        back = family.id_to_label
-        annotations["sigma"] = " ".join(back[v] for v in sigma.vertices)
-    return annotations
+def _show(ids: list[int], names: list[str] | None = None) -> str:
+    """An id list as text, each id tagged with its label when names are given."""
+    if names is None:
+        return " ".join(map(str, ids)) or "(empty)"
+    return " ".join(f"{name}({v})" for name, v in zip(names, ids)) or "(empty)"
 
 
-def _dot_text(graph: Graph, labels: dict[str, int] | None = None) -> str:
-    back = {v: k for k, v in (labels or {}).items()}
+def _sigma_lines(n: int, ids: list[int], names: list[str] | None) -> list[str]:
+    return [f"n: {n}", f"sigma: {_show(ids, names)}", f"k: {len(ids)}"]
+
+
+def _dot_text(graph: Graph, names: list[str] | None = None) -> str:
     lines = ["graph tree {"]
-    for v in range(graph.n):
-        name = back.get(v)
-        if name is not None:
-            lines.append(f'  {v} [label="{name}"];')
+    for v, name in enumerate(names or ()):
+        lines.append(f'  {v} [label="{name}"];')
     for u, v in graph.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _condition_lines(report: Report, cond_report: ConditionReport, record: dict) -> None:
-    conds = []
-    for cond in cond_report.conditions:
-        status = "ok" if cond.holds else "FAIL"
-        suffix = "" if cond.witness is None else f" [witness: {' '.join(map(str, cond.witness))}]"
-        report.lines.append(f"condition {cond.index}: {status} - {cond.note}{suffix}")
-        conds.append(
-            {
-                "index": cond.index,
-                "holds": cond.holds,
-                "witness": list(cond.witness) if cond.witness is not None else None,
-                "note": cond.note,
-            }
-        )
-    record["conditions"] = conds
+def _add_conditions(record: dict, cond_report: ConditionReport) -> None:
+    record["conditions"] = [
+        {
+            "index": cond.index,
+            "holds": cond.holds,
+            "witness": list(cond.witness) if cond.witness is not None else None,
+            "note": cond.note,
+        }
+        for cond in cond_report.conditions
+    ]
     record["overall"] = cond_report.overall
+
+
+def _condition_lines(conditions: list[dict] | None, skipped: str) -> list[str]:
+    if conditions is None:
+        return [f"conditions: skipped ({skipped})"]
+    lines = []
+    for cond in conditions:
+        status = "ok" if cond["holds"] else "FAIL"
+        witness = cond["witness"]
+        suffix = "" if witness is None else f" [witness: {_show(witness)}]"
+        lines.append(f"condition {cond['index']}: {status} - {cond['note']}{suffix}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_prime(args) -> Report:
-    report = Report()
+def _cmd_prime(args) -> Outcome:
     graph, _ = _load_graph(args.file)
-    is_tree = graph.n >= 1 and graph.edge_count == graph.n - 1 and graph.is_connected()
-    if is_tree:
-        cert = certify_tree(graph)
-        verdict = tree_is_prime(cert)
-        witness = None if verdict else tree_module_witness(cert)
+    tree = as_tree(graph)
+    if tree is not None:
+        verdict = tree_is_prime(tree)
+        witness = None if verdict else tree_module_witness(tree)
     else:
         verdict = is_prime_brute_force(graph, args.guard)
         witness = None if verdict else find_nontrivial_module(graph, args.guard)
-    rec = {"command": "prime", "n": graph.n, "prime": verdict, "witness": None}
-    report.lines.append(f"n: {graph.n}")
-    report.lines.append(f"prime: {str(verdict).lower()}")
-    if witness is not None:
-        rec["witness"] = list(witness.members)
-        report.lines.append(f"module witness: {' '.join(map(str, witness.members))}")
-    elif not verdict:
-        report.lines.append("module witness: none (fewer than 4 vertices)")
-    report.records.append(rec)
-    report.exit_code = 0 if verdict else 1
-    return report
+    rec = {
+        "command": "prime",
+        "n": graph.n,
+        "prime": verdict,
+        "witness": None if witness is None else list(witness.members),
+    }
+    lines = [f"n: {rec['n']}", f"prime: {str(rec['prime']).lower()}"]
+    if rec["witness"] is not None:
+        lines.append(f"module witness: {_show(rec['witness'])}")
+    elif not rec["prime"]:
+        lines.append("module witness: none (fewer than 4 vertices)")
+    return (0 if rec["prime"] else 1), [rec], lines
 
 
-def _cmd_sigma(args) -> Report:
-    report = Report()
+def _cmd_sigma(args) -> Outcome:
     graph, annotations = _load_graph(args.file)
     labels = _labels_from_annotations(annotations)
     sigma = noncritical_vertices(graph, args.guard)
-    report.lines.append(f"n: {graph.n}")
-    report.lines.append(f"sigma: {_display_ids(sigma.vertices, labels)}")
-    report.lines.append(f"k: {sigma.k}")
-    report.records.append(
-        {
-            "command": "sigma",
-            "n": graph.n,
-            "ids": list(sigma.vertices),
-            "labels": _label_list(sigma.vertices, labels),
-            "k": sigma.k,
-        }
-    )
-    return report
+    rec = {
+        "command": "sigma",
+        "n": graph.n,
+        "ids": list(sigma.vertices),
+        "labels": _label_list(sigma.vertices, labels),
+        "k": sigma.k,
+    }
+    return 0, [rec], _sigma_lines(rec["n"], rec["ids"], rec["labels"])
 
 
-def _cmd_classify_critical(args) -> Report:
-    report = Report()
+def _cmd_classify_critical(args) -> Outcome:
     tree, annotations = _load_tree(args.file)
     labels = _labels_from_annotations(annotations)
     sigma = noncritical_vertices(tree)
@@ -240,30 +230,25 @@ def _cmd_classify_critical(args) -> Report:
         "sigma_labels": _label_list(sigma.vertices, labels),
         "family": family.kind,
         "params": list(family.params),
+        "conditions": None,
+        "overall": None,
     }
-    report.lines.append(f"n: {tree.n}")
-    report.lines.append(f"sigma: {_display_ids(sigma.vertices, labels)}")
-    report.lines.append(f"k: {sigma.k}")
-    report.lines.append(f"family: {family}")
-    if family.kind == "Pkt" and family.params[0] == 4:
-        report.lines.append(
+    if tree.n >= 5 and sigma.k >= 1:
+        _add_conditions(rec, check_noncritical_set(tree, sigma.vertices))
+    lines = _sigma_lines(rec["n"], rec["sigma_ids"], rec["sigma_labels"])
+    lines.append(f"family: {family}")
+    if rec["family"] == "Pkt" and rec["params"][0] == 4:
+        lines.append(
             "note: single-hub members with a 4-vertex backbone have exactly one "
             "non-critical vertex"
         )
-    if tree.n >= 5 and sigma.k >= 1:
-        cond_report = check_noncritical_set(tree, sigma.vertices)
-        _condition_lines(report, cond_report, rec)
-        report.exit_code = 0 if cond_report.overall else 1
-    else:
-        report.lines.append("conditions: skipped (stated for >= 5 vertices and a nonempty set)")
-        rec["conditions"] = None
-        rec["overall"] = None
-    report.records.append(rec)
-    return report
+    lines += _condition_lines(
+        rec["conditions"], "stated for >= 5 vertices and a nonempty set"
+    )
+    return (1 if rec["overall"] is False else 0), [rec], lines
 
 
-def _cmd_check_minimal(args) -> Report:
-    report = Report()
+def _cmd_check_minimal(args) -> Outcome:
     tree, annotations = _load_tree(args.file)
     labels = _labels_from_annotations(annotations)
     chosen = _parse_set(args.set, labels, tree.graph)
@@ -272,52 +257,50 @@ def _cmd_check_minimal(args) -> Report:
         "n": tree.n,
         "set_ids": list(chosen),
         "set_labels": _label_list(chosen, labels),
+        "conditions": None,
+        "brute": None,
     }
-    report.lines.append(f"n: {tree.n}")
-    report.lines.append(f"set: {_display_ids(chosen, labels)}")
     if tree.n == 4:
-        if not tree_is_prime(tree):
-            raise GraphError("minimality is defined for prime trees only")
-        minimal = is_minimal_brute_force(tree, chosen)
-        report.lines.append("conditions: skipped (4-vertex tree, certified by brute force)")
-        rec["conditions"] = None
+        rec["minimal"] = is_minimal_brute_force(tree, chosen)
     else:
-        cond_report = check_minimal_set(tree, chosen)
-        _condition_lines(report, cond_report, rec)
-        minimal = cond_report.overall
-    rec["minimal"] = minimal
-    rec["brute"] = None
-    report.lines.append(f"minimal: {str(minimal).lower()}")
-    if args.brute:
-        if not tree_is_prime(tree):
-            # a decomposable tree is minimal for nothing; the scan presumes prime
-            report.lines.append("brute-force: skipped (tree is not prime)")
-        else:
-            witness = prime_proper_subgraph_witness(tree, chosen, args.guard)
-            brute = witness is None
-            rec["brute"] = brute
-            report.lines.append(f"brute-force: {str(brute).lower()}")
-            if witness is not None:
-                rec["brute_witness"] = list(witness)
-                report.lines.append(
-                    f"proper prime subgraph witness: {_display_ids(witness, labels)}"
-                )
-            if brute != minimal:
-                report.lines.append("DISAGREEMENT between conditions and brute force")
-                report.exit_code = 1
-                report.records.append(rec)
-                return report
-    report.exit_code = 0 if minimal else 1
-    report.records.append(rec)
-    return report
+        _add_conditions(rec, check_minimal_set(tree, chosen))
+        rec["minimal"] = rec["overall"]
+    # a decomposable tree is minimal for nothing; the scan presumes prime
+    brute_skipped = args.brute and not tree_is_prime(tree)
+    if args.brute and not brute_skipped:
+        witness = prime_proper_subgraph_witness(tree, chosen, args.guard)
+        rec["brute"] = witness is None
+        if witness is not None:
+            rec["brute_witness"] = list(witness)
+
+    lines = [f"n: {rec['n']}", f"set: {_show(rec['set_ids'], rec['set_labels'])}"]
+    lines += _condition_lines(rec["conditions"], "4-vertex tree, certified by brute force")
+    lines.append(f"minimal: {str(rec['minimal']).lower()}")
+    if brute_skipped:
+        lines.append("brute-force: skipped (tree is not prime)")
+    elif rec["brute"] is not None:
+        lines.append(f"brute-force: {str(rec['brute']).lower()}")
+        if "brute_witness" in rec:
+            shown = _show(rec["brute_witness"], _label_list(rec["brute_witness"], labels))
+            lines.append(f"proper prime subgraph witness: {shown}")
+        if rec["brute"] != rec["minimal"]:
+            lines.append("DISAGREEMENT between conditions and brute force")
+    passed = rec["minimal"] and rec["brute"] is not False
+    return (0 if passed else 1), [rec], lines
 
 
-def _cmd_extract_minimal(args) -> Report:
-    report = Report()
+def _cmd_extract_minimal(args) -> Outcome:
     tree, annotations = _load_tree(args.file)
     labels = _labels_from_annotations(annotations)
     chosen = _parse_set(args.set, labels, tree.graph)
     sub, idmap = extract_minimal_subtree(tree, chosen)
+    rec = {
+        "command": "extract-minimal",
+        "n": sub.n,
+        "edges": [list(e) for e in sub.graph.edges()],
+        "vertices": list(idmap),
+        "set_ids": list(chosen),
+    }
     out_annotations = {
         "command": f"extract-minimal --set {args.set}",
         "vertices": " ".join(str(v) for v in idmap),
@@ -329,41 +312,34 @@ def _cmd_extract_minimal(args) -> Report:
             f"{name}={idx}" for name, idx in sub_labels.items()
         )
     body = _dot_text(sub.graph) if args.dot else format_edge_list(sub.graph, out_annotations)
-    report.lines.extend(body.rstrip("\n").split("\n"))
-    report.records.append(
-        {
-            "command": "extract-minimal",
-            "n": sub.n,
-            "edges": [list(e) for e in sub.graph.edges()],
-            "vertices": list(idmap),
-            "set_ids": list(chosen),
-        }
-    )
-    return report
+    return 0, [rec], body.rstrip("\n").split("\n")
 
 
-def _cmd_gen(args) -> Report:
-    report = Report()
+def _cmd_gen(args) -> Outcome:
     family = build_family(args.family, args.params)
-    annotations = _family_annotations(family)
-    body = (
-        _dot_text(family.cert.graph, family.labels)
-        if args.dot
-        else format_edge_list(family.cert.graph, annotations)
-    )
-    report.lines.extend(body.rstrip("\n").split("\n"))
-    report.records.append(
-        {
-            "command": "gen",
-            "family": family.tag,
-            "params": list(family.params),
-            "n": family.cert.n,
-            "edges": [list(e) for e in family.cert.graph.edges()],
-            "labels": dict(family.labels),
-            "sigma": annotations.get("sigma", "").split() if "sigma" in annotations else None,
+    sigma = None
+    if tree_is_prime(family.cert):
+        sigma = _label_list(noncritical_vertices(family.cert).vertices, family.labels)
+    rec = {
+        "command": "gen",
+        "family": family.tag,
+        "params": list(family.params),
+        "n": family.cert.n,
+        "edges": [list(e) for e in family.cert.graph.edges()],
+        "labels": dict(family.labels),
+        "sigma": sigma,
+    }
+    if args.dot:
+        body = _dot_text(family.cert.graph, _label_list(range(family.cert.n), rec["labels"]))
+    else:
+        annotations = {
+            "family": f"{rec['family']} {' '.join(map(str, rec['params']))}",
+            "labels": " ".join(f"{name}={idx}" for name, idx in rec["labels"].items()),
         }
-    )
-    return report
+        if rec["sigma"] is not None:
+            annotations["sigma"] = " ".join(rec["sigma"])
+        body = format_edge_list(family.cert.graph, annotations)
+    return 0, [rec], body.rstrip("\n").split("\n")
 
 
 def _parse_predicate(expr: str | None):
@@ -383,102 +359,94 @@ def _parse_predicate(expr: str | None):
     )
 
 
-def _cmd_enumerate(args) -> Report:
-    report = Report()
+def _cmd_enumerate(args) -> Outcome:
     predicate = _parse_predicate(args.predicate)
-    for tree in all_trees(args.n):
-        if predicate is not None and not predicate(tree):
-            continue
-        code = canonical_form(tree).hex()
-        edges = tree.graph.edges()
-        parts = [code, str(tree.n)] + [f"{u}-{v}" for u, v in edges]
-        report.add(
-            " ".join(parts),
-            {
-                "command": "enumerate",
-                "code": code,
-                "n": tree.n,
-                "edges": [list(e) for e in edges],
-            },
-        )
-    return report
+    records = [
+        {
+            "command": "enumerate",
+            "code": canonical_form(tree).hex(),
+            "n": tree.n,
+            "edges": [list(e) for e in tree.graph.edges()],
+        }
+        for tree in all_trees(args.n)
+        if predicate is None or predicate(tree)
+    ]
+    lines = [
+        " ".join([rec["code"], str(rec["n"])] + [f"{u}-{v}" for u, v in rec["edges"]])
+        for rec in records
+    ]
+    return 0, records, lines
 
 
-def _cmd_count(args) -> Report:
-    report = Report()
+def _cmd_count(args) -> Outcome:
     table = count_table(args.what, args.nmax, verify=args.verify)
-    report.lines.append(f"what: {args.what}")
+    records = [
+        {
+            "command": "count",
+            "what": args.what,
+            "n": row.n,
+            "formula": row.formula,
+            "enumerated": row.enumerated,
+            "agree": row.agree,
+        }
+        for row in table.rows
+    ]
     columns = ["n", "formula"] + (["enumerated", "agree"] if args.verify else [])
     cells = []
-    for row in table.rows:
-        cell = [str(row.n), str(row.formula)]
+    for rec in records:
+        cell = [str(rec["n"]), str(rec["formula"])]
         if args.verify:
-            cell += [str(row.enumerated), "yes" if row.agree else "NO"]
+            cell += [str(rec["enumerated"]), "yes" if rec["agree"] else "NO"]
         cells.append(cell)
     widths = [
         max(len(name), *(len(cell[i]) for cell in cells)) if cells else len(name)
         for i, name in enumerate(columns)
     ]
-    report.lines.append("  ".join(name.rjust(w) for name, w in zip(columns, widths)))
+    lines = [f"what: {args.what}"]
+    lines.append("  ".join(name.rjust(w) for name, w in zip(columns, widths)))
     for cell in cells:
-        report.lines.append("  ".join(value.rjust(w) for value, w in zip(cell, widths)))
-    for row in table.rows:
-        report.records.append(
-            {
-                "command": "count",
-                "what": args.what,
-                "n": row.n,
-                "formula": row.formula,
-                "enumerated": row.enumerated,
-                "agree": row.agree,
-            }
+        lines.append("  ".join(value.rjust(w) for value, w in zip(cell, widths)))
+    if not args.verify:
+        return 0, records, lines
+    if args.what == "critical2":
+        lines.append(
+            "note: single-hub trees with a 4-vertex backbone are counted under "
+            "k=1 (one non-critical vertex), not here"
         )
-    if args.verify:
-        if args.what == "critical2":
-            report.lines.append(
-                "note: single-hub trees with a 4-vertex backbone are counted under "
-                "k=1 (one non-critical vertex), not here"
-            )
-        if table.all_agree:
-            report.lines.append("all rows agree")
-        else:
-            report.lines.append("DISAGREEMENT; witness trees follow")
-            predicate = is_minus2_critical if args.what == "critical2" else is_3_minimal
-            for row in table.disagreements():
-                for tree in all_trees(row.n):
-                    if predicate(tree):
-                        family = classify_critical_family(tree)
-                        edges = " ".join(f"{u}-{v}" for u, v in tree.graph.edges())
-                        report.lines.append(
-                            f"witness n={row.n} family={family} edges: {edges}"
-                        )
-            report.exit_code = 1
-    return report
+    if table.all_agree:
+        lines.append("all rows agree")
+        return 0, records, lines
+    lines.append("DISAGREEMENT; witness trees follow")
+    predicate = is_minus2_critical if args.what == "critical2" else is_3_minimal
+    for row in table.disagreements():
+        for tree in all_trees(row.n):
+            if predicate(tree):
+                family = classify_critical_family(tree)
+                edges = " ".join(f"{u}-{v}" for u, v in tree.graph.edges())
+                lines.append(f"witness n={row.n} family={family} edges: {edges}")
+    return 1, records, lines
 
 
-def _cmd_selftest(args) -> Report:
-    report = Report()
-    results = selftest_suites.run_suites(full=args.full, seed=args.seed)
-    failed = 0
-    for result in results:
-        status = "PASS" if result.ok else "FAIL"
-        report.add(
-            f"{status} {result.name}: {result.detail}",
-            {
-                "command": "selftest",
-                "suite": result.name,
-                "ok": result.ok,
-                "detail": result.detail,
-            },
-        )
-        if not result.ok:
-            failed += 1
-    report.lines.append(
-        f"{len(results) - failed}/{len(results)} suites passed"
+def _cmd_selftest(args) -> Outcome:
+    records = [
+        {
+            "command": "selftest",
+            "suite": result.name,
+            "ok": result.ok,
+            "detail": result.detail,
+        }
+        for result in selftest_suites.run_suites(full=args.full, seed=args.seed)
+    ]
+    lines = [
+        f"{'PASS' if rec['ok'] else 'FAIL'} {rec['suite']}: {rec['detail']}"
+        for rec in records
+    ]
+    passed = sum(1 for rec in records if rec["ok"])
+    lines.append(
+        f"{passed}/{len(records)} suites passed"
         + (" (full ranges)" if args.full else " (quick ranges)")
     )
-    report.exit_code = 0 if failed == 0 else 1
-    return report
+    return (0 if passed == len(records) else 1), records, lines
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +531,7 @@ def run(argv: list[str]) -> Report:
         code = exc.code if isinstance(exc.code, int) else 2
         return Report(exit_code=2 if code != 0 else 0)
     try:
-        report = _COMMANDS[args.command](args)
+        exit_code, records, lines = _COMMANDS[args.command](args)
     except ValueError as exc:  # GraphError included: bad input, not a bug
         return Report(
             exit_code=2,
@@ -571,8 +539,7 @@ def run(argv: list[str]) -> Report:
             records=[{"error": str(exc)}],
             format=args.format,
         )
-    report.format = args.format
-    return report
+    return Report(exit_code, lines, records, args.format)
 
 
 def render(report: Report) -> str:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 from .enumeration import canonical_form
 from .families import path, pkt, pmn, spider
-from .graph import Graph, GraphError, TreeCert, certify_tree, vertex_set
+from .graph import Graph, GraphError, TreeCert, as_tree, certify_tree, vertex_set
 from .modules import (
     BRUTE_FORCE_GUARD,
     ModuleWitness,
     is_prime_brute_force,
     tree_is_prime,
+    tree_module_witness,
 )
 
 
@@ -34,14 +35,6 @@ class NoncriticalSet:
         return len(self.vertices)
 
 
-def _as_tree(value: Graph | TreeCert) -> TreeCert | None:
-    if isinstance(value, TreeCert):
-        return value
-    if value.n >= 1 and value.edge_count == value.n - 1 and value.is_connected():
-        return TreeCert(value)
-    return None
-
-
 def noncritical_vertices(
     value: Graph | TreeCert, guard: int = BRUTE_FORCE_GUARD
 ) -> NoncriticalSet:
@@ -50,7 +43,7 @@ def noncritical_vertices(
     Trees bypass the subset-scan entirely: internal deletions disconnect,
     and leaf deletions are re-tested with the leaf-distance criterion.
     """
-    tree = _as_tree(value)
+    tree = value if isinstance(value, TreeCert) else as_tree(value)
     if tree is not None:
         if not tree_is_prime(tree):
             raise GraphError("non-critical vertices are defined for prime graphs only")
@@ -60,10 +53,7 @@ def noncritical_vertices(
             if tree_is_prime(certify_tree(remainder)):
                 keep.append(x)
         return NoncriticalSet(vertex_set(keep))
-    graph = value if isinstance(value, Graph) else value.graph
-    if not is_prime_brute_force(graph, guard):
-        raise GraphError("non-critical vertices are defined for prime graphs only")
-    return noncritical_vertices_brute_force(graph, guard)
+    return noncritical_vertices_brute_force(value, guard)
 
 
 def noncritical_vertices_brute_force(
@@ -109,26 +99,25 @@ class ConditionReport:
     def overall(self) -> bool:
         return all(c.holds for c in self.conditions)
 
-    def failures(self) -> tuple[Condition, ...]:
-        return tuple(c for c in self.conditions if not c.holds)
-
 
 def _leaf_distance_condition(tree: TreeCert) -> Condition:
-    """Condition shared by both characterizations: leaf pairs at distance >= 3."""
-    dist = tree.graph.distance_matrix
-    leaves = tree.leaves
-    for i in range(len(leaves)):
-        for j in range(i + 1, len(leaves)):
-            d = dist[leaves[i]][leaves[j]]
-            if d is not None and d < 3:
-                return Condition(
-                    1, False, (leaves[i], leaves[j]),
-                    f"leaves {leaves[i]} and {leaves[j]} at distance {d}",
-                )
+    """Condition shared by both characterizations: leaf pairs at distance >= 3.
+
+    Both characterizations need n >= 5, where two leaves closer than 3 are
+    exactly two leaves sharing a support, so the witness is the smallest
+    such pair.
+    """
+    witness = tree_module_witness(tree)
+    if witness is not None:
+        a, b = witness.members
+        return Condition(1, False, witness.members, f"leaves {a} and {b} at distance 2")
     return Condition(1, True, None, "every two leaves at distance >= 3")
 
 
 def _validated_set(tree: TreeCert, members) -> tuple[int, ...]:
+    """The checked vertex set of a characterization, which needs n >= 5."""
+    if tree.n < 5:
+        raise GraphError("the characterization is stated for trees with >= 5 vertices")
     chosen = vertex_set(members)
     if not chosen:
         raise GraphError("vertex set must be nonempty")
@@ -145,8 +134,6 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     usable as a diagnostic.  Needs at least 5 vertices and a nonempty set.
     """
     n = tree.n
-    if n < 5:
-        raise GraphError("the characterization is stated for trees with >= 5 vertices")
     chosen = _validated_set(tree, members)
     cset = set(chosen)
     leaves = set(tree.leaves)
@@ -212,8 +199,7 @@ def unique_module_of_leaf_deletion(tree: TreeCert, leaf: int) -> ModuleWitness |
     """
     if not tree_is_prime(tree):
         raise GraphError("input must be a prime tree")
-    if not tree.is_leaf(leaf):
-        raise GraphError(f"vertex {leaf} is not a leaf")
+    support = tree.support_of(leaf)
     remainder, idmap = tree.graph.without({leaf})
     cert = certify_tree(remainder)
     if tree_is_prime(cert):
@@ -222,7 +208,7 @@ def unique_module_of_leaf_deletion(tree: TreeCert, leaf: int) -> ModuleWitness |
     if len(crowded) != 1 or len(cert.leaf_neighbors(crowded[0])) != 2:
         raise RuntimeError("leaf deletion left more than one nontrivial module")
     members = vertex_set(idmap[v] for v in cert.leaf_neighbors(crowded[0]))
-    if tree.support_of(leaf) not in members:
+    if support not in members:
         raise RuntimeError("unique module does not contain the deleted leaf's support")
     return ModuleWitness(members)
 

@@ -52,8 +52,6 @@ def _tree_bfs(
 def _centroids(adj: list[tuple[int, ...]] | list[list[int]]) -> list[int]:
     """The one or two centroids of a tree given as adjacency lists."""
     n = len(adj)
-    if n == 1:
-        return [0]
     order, parent = _tree_bfs(adj, 0)
     size = [1] * n
     heaviest = [0] * n
@@ -95,11 +93,6 @@ def _rooted_code(adj: list[tuple[int, ...]] | list[list[int]], root: int) -> byt
 
 
 def _canonical_from_adj(adj: list[tuple[int, ...]] | list[list[int]]) -> bytes:
-    n = len(adj)
-    if n == 1:
-        return b"10"
-    if n == 2:
-        return b"1100"
     cents = _centroids(adj)
     code = _rooted_code(adj, cents[0])
     if len(cents) == 2:
@@ -204,24 +197,22 @@ def count_by_predicate(n: int, predicate: Callable[[TreeCert], bool]) -> int:
 # labeled trees (independent oracle)
 
 
-def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """Edges of the labeled tree on 0..n-1 with the given sequence (length n-2)."""
-    if n < 2:
-        raise GraphError("sequence decoding needs n >= 2")
-    if len(seq) != n - 2:
-        raise GraphError(f"sequence length must be n-2 = {n - 2}, got {len(seq)}")
+def _prufer_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
+    """Adjacency lists of the labeled tree on 0..n-1 with the given sequence.
+
+    Unchecked: the sequence must have length n-2 >= 0 and entries in 0..n-1.
+    """
     degree = [1] * n
     for x in seq:
-        if not 0 <= x < n:
-            raise GraphError(f"sequence entry {x} out of range")
         degree[x] += 1
-    edges: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
     ptr = 0
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in seq:
-        edges.append((leaf, x))
+        adj[leaf].append(x)
+        adj[x].append(leaf)
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
@@ -230,8 +221,23 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
+    adj[leaf].append(n - 1)
+    adj[n - 1].append(leaf)
+    return adj
+
+
+def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, in lexicographic order, of the labeled tree on
+    0..n-1 with the given sequence (length n-2)."""
+    if n < 2:
+        raise GraphError("sequence decoding needs n >= 2")
+    if len(seq) != n - 2:
+        raise GraphError(f"sequence length must be n-2 = {n - 2}, got {len(seq)}")
+    for x in seq:
+        if not 0 <= x < n:
+            raise GraphError(f"sequence entry {x} out of range")
+    adj = _prufer_adjacency(seq, n)
+    return sorted((u, v) for u in range(n) for v in adj[u] if u < v)
 
 
 def all_labeled_trees(n: int) -> Iterator[TreeCert]:
@@ -241,9 +247,6 @@ def all_labeled_trees(n: int) -> Iterator[TreeCert]:
     if n == 1:
         yield certify_tree(build_graph(1, []))
         return
-    if n == 2:
-        yield certify_tree(build_graph(2, [(0, 1)]))
-        return
     for seq in product(range(n), repeat=n - 2):
         yield certify_tree(build_graph(n, prufer_decode(seq, n)))
 
@@ -252,52 +255,27 @@ def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
     """Canonical codes of all labeled trees whose sequence starts with `prefix`."""
     n, prefix = task
     codes: set[bytes] = set()
-    rng = range(n)
-    for tail in product(rng, repeat=(n - 2) - len(prefix)):
-        seq = prefix + tail
-        degree = [1] * n
-        for x in seq:
-            degree[x] += 1
-        adj: list[list[int]] = [[] for _ in rng]
-        ptr = 0
-        while degree[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        for x in seq:
-            adj[leaf].append(x)
-            adj[x].append(leaf)
-            degree[x] -= 1
-            if degree[x] == 1 and x < ptr:
-                leaf = x
-            else:
-                ptr += 1
-                while degree[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        adj[leaf].append(n - 1)
-        adj[n - 1].append(leaf)
-        codes.add(_canonical_from_adj(adj))
+    for tail in product(range(n), repeat=(n - 2) - len(prefix)):
+        codes.add(_canonical_from_adj(_prufer_adjacency(prefix + tail, n)))
     return frozenset(codes)
 
 
 def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes]:
     """Canonical codes reached by the full labeled sweep (oracle for all_tree_codes).
 
-    The sequence space splits by first entry across worker processes; the
-    set union is independent of worker scheduling.
+    The sequence space splits by first entry into n tasks across at most n
+    worker processes; the set union is independent of worker scheduling.
     """
     if not 1 <= n <= LABELED_GUARD:
         raise GraphError(f"labeled enumeration supports 1..{LABELED_GUARD} vertices, got {n}")
     if n == 1:
         return frozenset({b"10"})
-    if n == 2:
-        return frozenset({b"1100"})
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or n < 7:
         return _labeled_sweep_chunk((n, ()))
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
         parts = pool.map(_labeled_sweep_chunk, [(n, (first,)) for first in range(n)])
         return frozenset().union(*parts)

@@ -47,10 +47,6 @@ class Graph:
         if not 0 <= v < self.n:
             raise GraphError(f"vertex {v} out of range 0..{self.n - 1}")
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self.check_vertex(v)
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         self.check_vertex(v)
         return len(self.adj[v])
@@ -66,7 +62,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def distances_from(self, source: int) -> list[int | None]:
         """BFS distances from source; None marks unreachable vertices."""
@@ -160,7 +156,7 @@ class TreeCert:
     """A graph certified to be a tree, with its leaves and supports cached.
 
     A leaf is a degree-1 vertex; a support is a vertex adjacent to a leaf.
-    Obtain instances through :func:`certify_tree`.
+    Obtain instances through :func:`certify_tree` or :func:`as_tree`.
     """
 
     def __init__(self, graph: Graph):
@@ -197,20 +193,29 @@ class TreeCert:
         return f"TreeCert(n={self.n}, leaves={list(self.leaves)})"
 
 
+def as_tree(graph: Graph) -> TreeCert | None:
+    """The certificate of a tree (nonempty, exactly n-1 edges, connected),
+    or None; the edge count rules out most non-trees before any traversal."""
+    if graph.n >= 1 and graph.edge_count == graph.n - 1 and graph.is_connected():
+        return TreeCert(graph)
+    return None
+
+
 def certify_tree(graph: Graph) -> TreeCert:
     """Certify that a graph is a tree (connected, exactly n-1 edges).
 
     Raises GraphError with the failing reason otherwise.
     """
+    tree = as_tree(graph)
+    if tree is not None:
+        return tree
     if graph.n == 0:
         raise GraphError("not a tree: empty graph")
     if graph.edge_count != graph.n - 1:
         raise GraphError(
             f"not a tree: {graph.edge_count} edges on {graph.n} vertices"
         )
-    if not graph.is_connected():
-        raise GraphError("not a tree: graph is disconnected")
-    return TreeCert(graph)
+    raise GraphError("not a tree: graph is disconnected")
 
 
 def read_edge_list(text: str) -> tuple[Graph, dict[str, str]]:

@@ -59,8 +59,6 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     about a support's unique pendant leaf; a support with several pendant
     leaves (condition 1 already failed then) is skipped.
     """
-    if tree.n < 5:
-        raise GraphError("the characterization is stated for trees with >= 5 vertices")
     chosen = _validated_set(tree, members)
     cset = set(chosen)
     leaves = set(tree.leaves)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graph import Graph, GraphError, TreeCert, vertex_set
+from .graph import Graph, GraphError, TreeCert, as_tree, vertex_set
 
 # Subset scans are 2^n; past this they stop being desk-scale.
 BRUTE_FORCE_GUARD = 20
@@ -81,9 +81,7 @@ def is_indecomposable(graph: Graph, guard: int = BRUTE_FORCE_GUARD) -> bool:
 
 def is_prime_brute_force(graph: Graph, guard: int = BRUTE_FORCE_GUARD) -> bool:
     """Primality by exhaustive module search: n >= 4 and only trivial modules."""
-    if graph.n < 4:
-        return False
-    return find_nontrivial_module(graph, guard) is None
+    return graph.n >= 4 and is_indecomposable(graph, guard)
 
 
 def tree_is_prime(tree: TreeCert) -> bool:
@@ -101,23 +99,24 @@ def forest_is_prime(graph: Graph) -> bool:
 
     Such a graph is a forest; it is prime iff it is connected (hence a tree)
     and passes the leaf-distance criterion.  Rejects graphs with cycles,
-    which this shortcut does not cover.
+    which this shortcut does not cover.  This runs inside exponential subset
+    scans, so graphs below four vertices return before the tree test.
     """
     if graph.n == 0:
         return False
     if graph.edge_count > graph.n - 1:
         raise GraphError("forest_is_prime needs a forest; graph has a cycle")
-    if graph.n < 4 or graph.edge_count != graph.n - 1:
+    if graph.n < 4:
         return False
-    if not graph.is_connected():
-        return False
-    return tree_is_prime(TreeCert(graph))
+    tree = as_tree(graph)
+    return tree is not None and tree_is_prime(tree)
 
 
 def is_prime(graph: Graph, guard: int = BRUTE_FORCE_GUARD) -> bool:
     """Primality of any graph: tree criterion when the graph is a tree, else brute force."""
-    if graph.n >= 1 and graph.edge_count == graph.n - 1 and graph.is_connected():
-        return tree_is_prime(TreeCert(graph))
+    tree = as_tree(graph)
+    if tree is not None:
+        return tree_is_prime(tree)
     return is_prime_brute_force(graph, guard)
 
 
@@ -140,18 +139,3 @@ def tree_module_witness(tree: TreeCert) -> ModuleWitness | None:
     if best is None:
         return None
     return ModuleWitness(vertex_set(best))
-
-
-def tree_nontrivial_module_count(tree: TreeCert) -> int:
-    """Number of nontrivial modules of a tree, from its support structure.
-
-    A support with m >= 2 leaf children contributes every leaf subset of
-    size >= 2, i.e. 2^m - m - 1 modules; nothing else is a nontrivial module
-    of a tree.
-    """
-    total = 0
-    for support in tree.supports:
-        m = len(tree.leaf_neighbors(support))
-        if m >= 2:
-            total += 2**m - m - 1
-    return total

@@ -1,0 +1,48 @@
+"""Bounds on repeated work: subset scans per call and worker processes per sweep."""
+
+from __future__ import annotations
+
+import concurrent.futures
+
+from primetrees import critical
+from primetrees.enumeration import all_tree_codes, labeled_tree_class_codes
+from primetrees.graph import build_graph
+
+
+def test_noncritical_vertices_scans_primality_once_per_deletion(monkeypatch):
+    calls = []
+    scan = critical.is_prime_brute_force
+
+    def counted(graph, guard):
+        calls.append(graph.n)
+        return scan(graph, guard)
+
+    monkeypatch.setattr(critical, "is_prime_brute_force", counted)
+    c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert critical.noncritical_vertices(c5).vertices == (0, 1, 2, 3, 4)
+    # one primality check of C5 itself, then one per single-vertex deletion
+    assert calls == [5, 4, 4, 4, 4, 4]
+
+
+def test_labeled_sweep_pool_is_capped_by_task_count(monkeypatch):
+    sizes = []
+
+    class SerialExecutor:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    codes = labeled_tree_class_codes(7, jobs=64)
+    assert sizes == [7]
+    assert codes == frozenset(all_tree_codes(7))
