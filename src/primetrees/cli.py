@@ -40,6 +40,7 @@ from .graph import (
     read_edge_list,
 )
 from .minimal import (
+    MINIMALITY_GUARD,
     check_minimal_set,
     extract_minimal_subtree,
     is_k_minimal,
@@ -73,24 +74,17 @@ Outcome = tuple[int, list[dict], list[str]]
 # input helpers
 
 
-def _load_graph(path: str) -> tuple[Graph, dict[str, str]]:
+def _load_graph(path: str) -> tuple[Graph, dict[str, int] | None]:
+    """The graph in a file plus its `labels` annotation, checked against n."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
-    return read_edge_list(text)
-
-
-def _load_tree(path: str) -> tuple[TreeCert, dict[str, str]]:
-    graph, annotations = _load_graph(path)
-    return certify_tree(graph), annotations
-
-
-def _labels_from_annotations(annotations: dict[str, str]) -> dict[str, int] | None:
+    graph, annotations = read_edge_list(text)
     raw = annotations.get("labels")
     if raw is None:
-        return None
+        return graph, None
     labels: dict[str, int] = {}
     for chunk in raw.split():
         name, _, value = chunk.partition("=")
@@ -98,7 +92,17 @@ def _labels_from_annotations(annotations: dict[str, str]) -> dict[str, int] | No
             labels[name] = int(value)
         except ValueError:
             raise GraphError(f"malformed labels annotation near {chunk!r}") from None
-    return labels
+        if not 0 <= labels[name] < graph.n:
+            raise GraphError(
+                f"labels annotation names vertex {labels[name]} out of range "
+                f"0..{graph.n - 1} near {chunk!r}"
+            )
+    return graph, labels
+
+
+def _load_tree(path: str) -> tuple[TreeCert, dict[str, int] | None]:
+    graph, labels = _load_graph(path)
+    return certify_tree(graph), labels
 
 
 def _parse_set(arg: str, labels: dict[str, int] | None, graph: Graph) -> tuple[int, ...]:
@@ -204,8 +208,7 @@ def _cmd_prime(args) -> Outcome:
 
 
 def _cmd_sigma(args) -> Outcome:
-    graph, annotations = _load_graph(args.file)
-    labels = _labels_from_annotations(annotations)
+    graph, labels = _load_graph(args.file)
     sigma = noncritical_vertices(graph, args.guard)
     rec = {
         "command": "sigma",
@@ -218,8 +221,7 @@ def _cmd_sigma(args) -> Outcome:
 
 
 def _cmd_classify_critical(args) -> Outcome:
-    tree, annotations = _load_tree(args.file)
-    labels = _labels_from_annotations(annotations)
+    tree, labels = _load_tree(args.file)
     sigma = noncritical_vertices(tree)
     family = classify_critical_family(tree)
     rec = {
@@ -249,8 +251,7 @@ def _cmd_classify_critical(args) -> Outcome:
 
 
 def _cmd_check_minimal(args) -> Outcome:
-    tree, annotations = _load_tree(args.file)
-    labels = _labels_from_annotations(annotations)
+    tree, labels = _load_tree(args.file)
     chosen = _parse_set(args.set, labels, tree.graph)
     rec = {
         "command": "check-minimal",
@@ -290,8 +291,7 @@ def _cmd_check_minimal(args) -> Outcome:
 
 
 def _cmd_extract_minimal(args) -> Outcome:
-    tree, annotations = _load_tree(args.file)
-    labels = _labels_from_annotations(annotations)
+    tree, labels = _load_tree(args.file)
     chosen = _parse_set(args.set, labels, tree.graph)
     sub, idmap = extract_minimal_subtree(tree, chosen)
     rec = {
@@ -348,12 +348,12 @@ def _parse_predicate(expr: str | None):
     if expr == "prime":
         return lambda tree: tree_is_prime(tree)
     name, _, value = expr.partition("=")
-    if name == "critical" and value:
+    if value.isascii() and value.isdigit():
         k = int(value)
-        return lambda tree: tree_is_prime(tree) and is_k_critical(tree, k)
-    if name == "minimal" and value:
-        k = int(value)
-        return lambda tree: is_k_minimal(tree, k)
+        if name == "critical":
+            return lambda tree: tree_is_prime(tree) and is_k_critical(tree, k)
+        if name == "minimal":
+            return lambda tree: is_k_minimal(tree, k)
     raise GraphError(
         f"unknown predicate {expr!r}; use prime, critical=K, or minimal=K"
     )
@@ -482,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated labels or ids")
     p.add_argument("--brute", action="store_true", help="confirm by definitional scan")
-    p.add_argument("--guard", type=int, default=16)
+    p.add_argument("--guard", type=int, default=MINIMALITY_GUARD)
 
     p = sub.add_parser("extract-minimal", parents=[common], help="greedy minimal subtree for a vertex set")
     p.add_argument("file")

@@ -2,10 +2,11 @@
 
 A vertex x of a prime graph G is critical when G - x is decomposable.  For a
 prime tree, deleting an internal vertex always disconnects (hence
-decomposes), so only leaf deletions can stay prime; the per-deletion check
-uses the tree criterion, which keeps the whole sweep quadratic.  A brute
-force over all single-vertex deletions is kept as the oracle for general
-prime graphs and for cross-checking the tree route.
+decomposes), so only leaf deletions can stay prime.  Every support of a prime
+tree has exactly one leaf, so a local rule on the support table decides each
+leaf deletion in constant time.  A brute force over all single-vertex deletions
+is kept as the oracle for general prime graphs and for cross-checking the
+tree route.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .enumeration import canonical_form
 from .families import path, pkt, pmn, spider
-from .graph import Graph, GraphError, TreeCert, as_tree, certify_tree, vertex_set
+from .graph import Graph, GraphError, TreeCert, as_tree, vertex_set
 from .modules import (
     BRUTE_FORCE_GUARD,
     ModuleWitness,
@@ -41,18 +42,15 @@ def noncritical_vertices(
     """All x with G - x still prime.  Defined for prime graphs only.
 
     Trees bypass the subset-scan entirely: internal deletions disconnect,
-    and leaf deletions are re-tested with the leaf-distance criterion.
+    and each leaf deletion is decided by the leaf-deletion rule.
     """
     tree = value if isinstance(value, TreeCert) else as_tree(value)
     if tree is not None:
         if not tree_is_prime(tree):
             raise GraphError("non-critical vertices are defined for prime graphs only")
-        keep = []
-        for x in tree.leaves:
-            remainder, _ = tree.graph.without({x})
-            if tree_is_prime(certify_tree(remainder)):
-                keep.append(x)
-        return NoncriticalSet(vertex_set(keep))
+        return NoncriticalSet(
+            tuple(x for x in tree.leaves if unique_module_of_leaf_deletion(tree, x) is None)
+        )
     return noncritical_vertices_brute_force(value, guard)
 
 
@@ -126,18 +124,28 @@ def _validated_set(tree: TreeCert, members) -> tuple[int, ...]:
     return chosen
 
 
+def _other_neighbor(tree: TreeCert, v: int, known: int) -> int:
+    """The neighbor of the degree-2 vertex v that is not `known`."""
+    a, b = tree.graph.adj[v]
+    return b if a == known else a
+
+
 def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     """Verdicts of the four conditions equivalent to "the non-critical
     vertices of this prime tree are exactly this set".
 
     All four conditions are evaluated even after one fails, so the report is
     usable as a diagnostic.  Needs at least 5 vertices and a nonempty set.
+    Distances are read off the support structure: the members at distance 3
+    from a leaf are those at distance 2 from its support, and a leaf whose
+    support has degree 2 sees leaves below distance 4 only at the support's
+    other neighbor.
     """
     n = tree.n
+    adj = tree.graph.adj
     chosen = _validated_set(tree, members)
     cset = set(chosen)
     leaves = set(tree.leaves)
-    dist = tree.graph.distance_matrix
     conds = [_leaf_distance_condition(tree)]
 
     non_leaf = sorted(cset - leaves)
@@ -156,9 +164,14 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
         3, True, None,
         "each outside leaf has a degree-2 support and exactly one member at distance 3",
     )
+    near = [0] * n  # near[w]: members adjacent to w
+    for xi in chosen:
+        for w in adj[xi]:
+            near[w] += 1
     for x in sorted(leaves - cset):
-        support_degree = tree.graph.degree(tree.support_of(x))
-        hits = sum(1 for xi in chosen if dist[x][xi] == 3)
+        support = tree.support_of(x)
+        support_degree = len(adj[support])
+        hits = sum(near[w] for w in adj[support]) - support_degree * (support in cset)
         if support_degree != 2 or hits != 1:
             c3 = Condition(
                 3, False, (x,),
@@ -174,16 +187,15 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     for xi in chosen:
         if xi not in leaves:
             continue
-        if tree.graph.degree(tree.support_of(xi)) != 2:
+        support = tree.support_of(xi)
+        if len(adj[support]) != 2:
             continue
-        for y in sorted(leaves - {xi}):
-            if dist[xi][y] < 4:
-                c4 = Condition(
-                    4, False, (xi, y),
-                    f"member {xi} has a degree-2 support but leaf {y} is at distance {dist[xi][y]}",
-                )
-                break
-        if not c4.holds:
+        close = tree.leaf_neighbors(_other_neighbor(tree, support, xi))
+        if close:
+            c4 = Condition(
+                4, False, (xi, close[0]),
+                f"member {xi} has a degree-2 support but leaf {close[0]} is at distance 3",
+            )
             break
     conds.append(c4)
     return ConditionReport(tuple(conds))
@@ -192,25 +204,22 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
 def unique_module_of_leaf_deletion(tree: TreeCert, leaf: int) -> ModuleWitness | None:
     """The single nontrivial module left by deleting a leaf of a prime tree.
 
-    Returns None when the deletion stays prime.  When it decomposes, the
-    remainder has exactly one nontrivial module, a pair {y, s} of a leaf y
-    and the deleted leaf's support s; anything else would contradict the
-    support-structure description of tree modules, so it raises.
+    Returns None when the deletion stays prime.  Only the support s of the
+    deleted leaf can change role: it becomes a leaf exactly when deg(s) = 2,
+    and then it shares its other neighbor w with w's own leaf exactly when w
+    is a support.  So the remainder decomposes exactly when deg(s) = 2 and w
+    is a support, and its one nontrivial module is {s, the leaf of w}.  On
+    the 4-vertex path this holds for both leaves.
     """
     if not tree_is_prime(tree):
         raise GraphError("input must be a prime tree")
     support = tree.support_of(leaf)
-    remainder, idmap = tree.graph.without({leaf})
-    cert = certify_tree(remainder)
-    if tree_is_prime(cert):
+    if tree.graph.degree(support) != 2:
         return None
-    crowded = [s for s in cert.supports if len(cert.leaf_neighbors(s)) >= 2]
-    if len(crowded) != 1 or len(cert.leaf_neighbors(crowded[0])) != 2:
-        raise RuntimeError("leaf deletion left more than one nontrivial module")
-    members = vertex_set(idmap[v] for v in cert.leaf_neighbors(crowded[0]))
-    if support not in members:
-        raise RuntimeError("unique module does not contain the deleted leaf's support")
-    return ModuleWitness(members)
+    partner = tree.leaf_neighbors(_other_neighbor(tree, support, leaf))
+    if not partner:
+        return None
+    return ModuleWitness(vertex_set((support, partner[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ All queries are therefore safe under concurrent reads.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from typing import Iterable
 
 
@@ -63,30 +62,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(map(len, self.adj)) // 2
-
-    def distances_from(self, source: int) -> list[int | None]:
-        """BFS distances from source; None marks unreachable vertices."""
-        self.check_vertex(source)
-        dist: list[int | None] = [None] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if dist[w] is None:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    def distance(self, u: int, v: int) -> int | None:
-        """Shortest-path edge count between u and v; None if unreachable."""
-        self.check_vertex(v)
-        return self.distances_from(u)[v]
-
-    @cached_property
-    def distance_matrix(self) -> tuple[tuple[int | None, ...], ...]:
-        """All-pairs BFS distances, computed once per graph."""
-        return tuple(tuple(self.distances_from(v)) for v in range(self.n))
 
     def connected_components(self) -> list[tuple[int, ...]]:
         """Partition of the vertices into connected components, sorted by smallest member."""

@@ -3,7 +3,7 @@
 A prime graph is minimal for a set X when no proper induced subgraph
 containing X is prime.  The definitional test scans every vertex superset of
 X; it is exponential and guarded, and serves as the oracle for the
-three-condition checker, which is linear-time after the distance table.
+three-condition checker, which reads the support structure in linear time.
 """
 
 from __future__ import annotations
@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .critical import Condition, ConditionReport, _leaf_distance_condition, _validated_set
+from .critical import (
+    Condition,
+    ConditionReport,
+    _leaf_distance_condition,
+    _other_neighbor,
+    _validated_set,
+    unique_module_of_leaf_deletion,
+)
 from .graph import Graph, GraphError, TreeCert, certify_tree, vertex_set
 from .modules import forest_is_prime, tree_is_prime
 
@@ -57,12 +64,12 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
 
     All conditions are evaluated even after a failure.  Condition 3 speaks
     about a support's unique pendant leaf; a support with several pendant
-    leaves (condition 1 already failed then) is skipped.
+    leaves (condition 1 already failed then) is skipped.  A degree-2
+    support's leaves at distance 2 are those of its other neighbor.
     """
     chosen = _validated_set(tree, members)
     cset = set(chosen)
     leaves = set(tree.leaves)
-    dist = tree.graph.distance_matrix
     conds = [_leaf_distance_condition(tree)]
 
     c2 = Condition(2, True, None, "every leaf or its support is in the set")
@@ -83,7 +90,7 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
         if len(pendant) != 1 or pendant[0] in cset:
             continue
         ok = tree.graph.degree(xi) == 2 and any(
-            xj != xi and xj in leaves and dist[xi][xj] == 2 for xj in chosen
+            y in cset for y in tree.leaf_neighbors(_other_neighbor(tree, xi, pendant[0]))
         )
         if not ok:
             c3 = Condition(
@@ -100,16 +107,17 @@ def _find_deletion(graph: Graph, keep: set[int], pinned: set[int]) -> set[int] |
     """One legal shrink step: a single vertex, else a leaf-support pair.
 
     A step removes vertices outside the pinned set and leaves a prime tree.
-    Single deletions alone can stall before minimality (a pendant 2-path can
-    be removable only as a whole), so leaf-support pairs back them up.
-    Vertices are scanned in increasing id order.
+    Deleting an internal vertex disconnects, so the single-vertex step takes
+    the first unpinned leaf that the leaf-deletion rule lets go.  Single
+    deletions alone can stall before minimality (a pendant 2-path can be
+    removable only as a whole), so leaf-support pairs back them up.  Leaves
+    are scanned in increasing id order.
     """
-    for v in sorted(keep - pinned):
-        sub, _ = graph.induced_subgraph(keep - {v})
-        if forest_is_prime(sub):
-            return {v}
     current, idmap = graph.induced_subgraph(keep)
     cert = certify_tree(current)
+    for leaf in cert.leaves:
+        if idmap[leaf] not in pinned and unique_module_of_leaf_deletion(cert, leaf) is None:
+            return {idmap[leaf]}
     for leaf in cert.leaves:
         y = idmap[leaf]
         support = idmap[cert.support_of(leaf)]
@@ -212,9 +220,8 @@ def classify_three_minimal(tree: TreeCert, members) -> MinimalForm:
         leg = [first]
         prev = center
         while tree.graph.degree(leg[-1]) == 2:
-            nxt = next(w for w in tree.graph.adj[leg[-1]] if w != prev)
-            prev = leg[-1]
-            leg.append(nxt)
+            leg.append(_other_neighbor(tree, leg[-1], prev))
+            prev = leg[-2]
         legs.append(leg)
     legs.sort(key=len)
     cset = set(chosen)

@@ -58,14 +58,6 @@ def test_degree():
         g.degree(4)
 
 
-def test_distance():
-    g = p4()
-    assert g.distance(0, 3) == 3
-    assert g.distance(2, 2) == 0
-    two_parts = build_graph(4, [(0, 1), (2, 3)])
-    assert two_parts.distance(0, 3) is None
-
-
 def test_connected_components():
     assert p4().connected_components() == [(0, 1, 2, 3)]
     assert build_graph(3, []).connected_components() == [(0,), (1,), (2,)]
@@ -118,19 +110,6 @@ def test_support_of_rejects_internal():
 @given(simple_graphs())
 def test_degree_sum_is_twice_edges(g):
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
-
-
-@given(simple_graphs())
-def test_distance_symmetric_and_triangle(g):
-    dist = g.distance_matrix
-    for u in range(g.n):
-        assert dist[u][u] == 0
-        for v in range(g.n):
-            assert dist[u][v] == dist[v][u]
-            for w in range(g.n):
-                if dist[u][v] is not None and dist[v][w] is not None:
-                    assert dist[u][w] is not None
-                    assert dist[u][w] <= dist[u][v] + dist[v][w]
 
 
 @given(simple_graphs())
