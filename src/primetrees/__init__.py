@@ -23,18 +23,14 @@ from .critical import (
     NoncriticalSet,
     check_noncritical_set,
     classify_critical_family,
-    is_k_critical,
     noncritical_vertices,
     noncritical_vertices_brute_force,
     unique_module_of_leaf_deletion,
 )
 from .enumeration import (
-    all_labeled_trees,
     all_tree_codes,
     all_trees,
-    are_isomorphic,
     canonical_form,
-    count_by_predicate,
     decode_canonical,
     labeled_tree_class_codes,
     prufer_decode,
@@ -62,8 +58,6 @@ from .minimal import (
 from .modules import (
     ModuleWitness,
     find_nontrivial_module,
-    forest_is_prime,
-    is_indecomposable,
     is_module,
     is_prime,
     is_prime_brute_force,

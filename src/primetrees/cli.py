@@ -25,12 +25,12 @@ from .critical import (
     ConditionReport,
     check_noncritical_set,
     classify_critical_family,
-    is_k_critical,
     noncritical_vertices,
 )
 from .enumeration import all_trees, canonical_form
 from .families import FAMILY_BUILDERS, build_family
 from .graph import (
+    GUARD_CAP,
     Graph,
     GraphError,
     TreeCert,
@@ -75,7 +75,8 @@ Outcome = tuple[int, list[dict], list[str]]
 
 
 def _load_graph(path: str) -> tuple[Graph, dict[str, int] | None]:
-    """The graph in a file plus its `labels` annotation, checked against n."""
+    """The graph in a file plus its `labels` annotation, checked against n;
+    a name and a vertex may each appear once."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -86,17 +87,24 @@ def _load_graph(path: str) -> tuple[Graph, dict[str, int] | None]:
     if raw is None:
         return graph, None
     labels: dict[str, int] = {}
+    named: set[int] = set()
     for chunk in raw.split():
         name, _, value = chunk.partition("=")
         try:
-            labels[name] = int(value)
+            v = int(value)
         except ValueError:
             raise GraphError(f"malformed labels annotation near {chunk!r}") from None
-        if not 0 <= labels[name] < graph.n:
+        if not 0 <= v < graph.n:
             raise GraphError(
-                f"labels annotation names vertex {labels[name]} out of range "
+                f"labels annotation names vertex {v} out of range "
                 f"0..{graph.n - 1} near {chunk!r}"
             )
+        if name in labels:
+            raise GraphError(f"labels annotation repeats name {name!r} near {chunk!r}")
+        if v in named:
+            raise GraphError(f"labels annotation gives vertex {v} a second name near {chunk!r}")
+        labels[name] = v
+        named.add(v)
     return graph, labels
 
 
@@ -351,7 +359,7 @@ def _parse_predicate(expr: str | None):
     if value.isascii() and value.isdigit():
         k = int(value)
         if name == "critical":
-            return lambda tree: tree_is_prime(tree) and is_k_critical(tree, k)
+            return lambda tree: tree_is_prime(tree) and noncritical_vertices(tree).k == k
         if name == "minimal":
             return lambda tree: is_k_minimal(tree, k)
     raise GraphError(
@@ -453,6 +461,13 @@ def _cmd_selftest(args) -> Outcome:
 # parser and entry points
 
 
+def _guard(text: str) -> int:
+    """A `--guard` value: an integer in 0..GUARD_CAP."""
+    if not (text.isascii() and text.isdigit()) or int(text) > GUARD_CAP:
+        raise argparse.ArgumentTypeError(f"must be an integer in 0..{GUARD_CAP}, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primetrees",
@@ -469,11 +484,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prime", parents=[common], help="primality verdict with a module witness")
     p.add_argument("file")
-    p.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD)
+    p.add_argument("--guard", type=_guard, default=BRUTE_FORCE_GUARD)
 
     p = sub.add_parser("sigma", parents=[common], help="non-critical vertices of a prime graph")
     p.add_argument("file")
-    p.add_argument("--guard", type=int, default=BRUTE_FORCE_GUARD)
+    p.add_argument("--guard", type=_guard, default=BRUTE_FORCE_GUARD)
 
     p = sub.add_parser("classify-critical", parents=[common], help="condition report and family tag")
     p.add_argument("file")
@@ -482,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--set", required=True, help="comma-separated labels or ids")
     p.add_argument("--brute", action="store_true", help="confirm by definitional scan")
-    p.add_argument("--guard", type=int, default=MINIMALITY_GUARD)
+    p.add_argument("--guard", type=_guard, default=MINIMALITY_GUARD)
 
     p = sub.add_parser("extract-minimal", parents=[common], help="greedy minimal subtree for a vertex set")
     p.add_argument("file")
@@ -532,11 +547,12 @@ def run(argv: list[str]) -> Report:
         return Report(exit_code=2 if code != 0 else 0)
     try:
         exit_code, records, lines = _COMMANDS[args.command](args)
-    except ValueError as exc:  # GraphError included: bad input, not a bug
+    except (ValueError, MemoryError) as exc:  # GraphError included: bad or oversized input
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
         return Report(
             exit_code=2,
-            lines=[f"error: {exc}"],
-            records=[{"error": str(exc)}],
+            lines=[f"error: {message}"],
+            records=[{"error": message}],
             format=args.format,
         )
     return Report(exit_code, lines, records, args.format)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .critical import noncritical_vertices
-from .enumeration import count_by_predicate
+from .enumeration import all_trees
 from .graph import TreeCert
 from .minimal import is_k_minimal
 from .modules import tree_is_prime
@@ -136,6 +136,6 @@ def count_table(
         raise ValueError(f"n_max must be >= {n_min} for {kind}, got {n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
-        enumerated = count_by_predicate(n, predicate) if verify else None
+        enumerated = sum(1 for tree in all_trees(n) if predicate(tree)) if verify else None
         rows.append(CountRow(n, formula(n), enumerated))
     return CountTable(kind, tuple(rows))

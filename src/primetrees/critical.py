@@ -68,11 +68,6 @@ def noncritical_vertices_brute_force(
     return NoncriticalSet(vertex_set(keep))
 
 
-def is_k_critical(tree: TreeCert, k: int) -> bool:
-    """Exactly k non-critical vertices (input must be a prime tree)."""
-    return noncritical_vertices(tree).k == k
-
-
 # ---------------------------------------------------------------------------
 # condition reports
 

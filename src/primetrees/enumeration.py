@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graph import GraphError, TreeCert, build_graph, certify_tree
 
@@ -107,10 +107,6 @@ def canonical_form(tree: TreeCert) -> bytes:
     return _canonical_from_adj(list(tree.graph.adj))
 
 
-def are_isomorphic(t1: TreeCert, t2: TreeCert) -> bool:
-    return canonical_form(t1) == canonical_form(t2)
-
-
 def decode_canonical(code: bytes) -> TreeCert:
     """Rebuild a tree from a canonical (or any well-formed 1/0) code."""
     edges: list[tuple[int, int]] = []
@@ -188,11 +184,6 @@ def all_trees(n: int) -> Iterator[TreeCert]:
         yield decode_canonical(code)
 
 
-def count_by_predicate(n: int, predicate: Callable[[TreeCert], bool]) -> int:
-    """Number of isomorphism classes on n vertices satisfying the predicate."""
-    return sum(1 for tree in all_trees(n) if predicate(tree))
-
-
 # ---------------------------------------------------------------------------
 # labeled trees (independent oracle)
 
@@ -238,17 +229,6 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             raise GraphError(f"sequence entry {x} out of range")
     adj = _prufer_adjacency(seq, n)
     return sorted((u, v) for u in range(n) for v in adj[u] if u < v)
-
-
-def all_labeled_trees(n: int) -> Iterator[TreeCert]:
-    """All n^(n-2) labeled trees on 0..n-1 (1 for n in {1, 2})."""
-    if not 1 <= n <= LABELED_GUARD:
-        raise GraphError(f"labeled enumeration supports 1..{LABELED_GUARD} vertices, got {n}")
-    if n == 1:
-        yield certify_tree(build_graph(1, []))
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield certify_tree(build_graph(n, prufer_decode(seq, n)))
 
 
 def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:

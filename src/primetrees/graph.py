@@ -8,8 +8,11 @@ All queries are therefore safe under concurrent reads.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
+
+# Largest `--guard` the CLI accepts (2^24 subsets); read_edge_list refuses
+# a graph past it with too few edges to be connected.
+GUARD_CAP = 24
 
 
 class GraphError(ValueError):
@@ -50,11 +53,6 @@ class Graph:
         self.check_vertex(v)
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -63,28 +61,19 @@ class Graph:
     def edge_count(self) -> int:
         return sum(map(len, self.adj)) // 2
 
-    def connected_components(self) -> list[tuple[int, ...]]:
-        """Partition of the vertices into connected components, sorted by smallest member."""
-        seen = [False] * self.n
-        parts: list[tuple[int, ...]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            parts.append(vertex_set(comp))
-        return parts
-
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        """Every vertex is reachable from vertex 0 (true for n <= 1)."""
+        if self.n == 0:
+            return True
+        seen = [False] * self.n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for w in self.adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        return all(seen)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
         """Induced subgraph on the given vertices.
@@ -199,7 +188,8 @@ def read_edge_list(text: str) -> tuple[Graph, dict[str, str]]:
     The first non-comment line is the vertex count n, then one `u v` pair per
     line (0-based ids, whitespace-separated).  Lines starting with `#` are
     skipped; comments of the form `# key: value` are collected and returned
-    as annotations.
+    as annotations.  A count above both GUARD_CAP and the edge lines + 1 (a
+    disconnected graph no scan may take) is refused before any allocation.
     """
     annotations: dict[str, str] = {}
     n: int | None = None
@@ -233,6 +223,11 @@ def read_edge_list(text: str) -> tuple[Graph, dict[str, str]]:
         edges.append((u, v))
     if n is None:
         raise GraphError("missing vertex count line")
+    if n > len(edges) + 1 and n > GUARD_CAP:
+        raise GraphError(
+            f"vertex count {n} is above the guard cap {GUARD_CAP} with only {len(edges)} "
+            f"edge line(s): the graph is disconnected and too large to scan"
+        )
     return build_graph(n, edges), annotations
 
 

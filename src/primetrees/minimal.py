@@ -19,8 +19,8 @@ from .critical import (
     _validated_set,
     unique_module_of_leaf_deletion,
 )
-from .graph import Graph, GraphError, TreeCert, certify_tree, vertex_set
-from .modules import forest_is_prime, tree_is_prime
+from .graph import Graph, GraphError, TreeCert, as_tree, certify_tree, vertex_set
+from .modules import tree_is_prime
 
 # Definitional minimality scans 2^(n-|X|) subsets.
 MINIMALITY_GUARD = 16
@@ -47,8 +47,8 @@ def prime_proper_subgraph_witness(
     for size in range(len(rest)):
         for extra in combinations(rest, size):
             candidate = vertex_set(chosen + extra)
-            sub, _ = tree.graph.induced_subgraph(candidate)
-            if forest_is_prime(sub):
+            sub = as_tree(tree.graph.induced_subgraph(candidate)[0])
+            if sub is not None and tree_is_prime(sub):
                 return candidate
     return None
 
@@ -103,6 +103,23 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     return ConditionReport(tuple(conds))
 
 
+def _pair_deletion_is_prime(tree: TreeCert, leaf: int) -> bool:
+    """Whether deleting a leaf of a prime tree together with its support
+    leaves a prime tree.
+
+    The remainder is a tree exactly when the support s has degree 2, and has
+    at least four vertices exactly when n >= 6.  Every other leaf keeps its
+    support; the only new leaf can be s's other neighbor w, when deg(w) = 2,
+    and the remainder is then prime exactly when w's other neighbor is not
+    already a support.
+    """
+    support = tree.support_of(leaf)
+    if tree.n < 6 or tree.graph.degree(support) != 2:
+        return False
+    w = _other_neighbor(tree, support, leaf)
+    return tree.graph.degree(w) >= 3 or not tree.leaf_neighbors(_other_neighbor(tree, w, support))
+
+
 def _find_deletion(graph: Graph, keep: set[int], pinned: set[int]) -> set[int] | None:
     """One legal shrink step: a single vertex, else a leaf-support pair.
 
@@ -110,8 +127,8 @@ def _find_deletion(graph: Graph, keep: set[int], pinned: set[int]) -> set[int] |
     Deleting an internal vertex disconnects, so the single-vertex step takes
     the first unpinned leaf that the leaf-deletion rule lets go.  Single
     deletions alone can stall before minimality (a pendant 2-path can be
-    removable only as a whole), so leaf-support pairs back them up.  Leaves
-    are scanned in increasing id order.
+    removable only as a whole), so leaf-support pairs that the pair rule
+    lets go back them up.  Leaves are scanned in increasing id order.
     """
     current, idmap = graph.induced_subgraph(keep)
     cert = certify_tree(current)
@@ -121,10 +138,7 @@ def _find_deletion(graph: Graph, keep: set[int], pinned: set[int]) -> set[int] |
     for leaf in cert.leaves:
         y = idmap[leaf]
         support = idmap[cert.support_of(leaf)]
-        if y in pinned or support in pinned:
-            continue
-        sub, _ = graph.induced_subgraph(keep - {y, support})
-        if forest_is_prime(sub):
+        if y not in pinned and support not in pinned and _pair_deletion_is_prime(cert, leaf):
             return {y, support}
     return None
 

@@ -74,14 +74,9 @@ def find_nontrivial_module(
     return None
 
 
-def is_indecomposable(graph: Graph, guard: int = BRUTE_FORCE_GUARD) -> bool:
-    """All modules trivial, with no floor on the vertex count."""
-    return find_nontrivial_module(graph, guard) is None
-
-
 def is_prime_brute_force(graph: Graph, guard: int = BRUTE_FORCE_GUARD) -> bool:
     """Primality by exhaustive module search: n >= 4 and only trivial modules."""
-    return graph.n >= 4 and is_indecomposable(graph, guard)
+    return graph.n >= 4 and find_nontrivial_module(graph, guard) is None
 
 
 def tree_is_prime(tree: TreeCert) -> bool:
@@ -92,24 +87,6 @@ def tree_is_prime(tree: TreeCert) -> bool:
     exactly one leaf neighbor, i.e. as many supports as leaves.
     """
     return tree.n >= 4 and len(tree.leaves) == len(tree.supports)
-
-
-def forest_is_prime(graph: Graph) -> bool:
-    """Primality of an induced subgraph of a tree.
-
-    Such a graph is a forest; it is prime iff it is connected (hence a tree)
-    and passes the leaf-distance criterion.  Rejects graphs with cycles,
-    which this shortcut does not cover.  This runs inside exponential subset
-    scans, so graphs below four vertices return before the tree test.
-    """
-    if graph.n == 0:
-        return False
-    if graph.edge_count > graph.n - 1:
-        raise GraphError("forest_is_prime needs a forest; graph has a cycle")
-    if graph.n < 4:
-        return False
-    tree = as_tree(graph)
-    return tree is not None and tree_is_prime(tree)
 
 
 def is_prime(graph: Graph, guard: int = BRUTE_FORCE_GUARD) -> bool:

@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import primetrees.cli
+import primetrees.graph
 from primetrees.cli import render, run
-from primetrees.graph import read_edge_list
+from primetrees.graph import GUARD_CAP, read_edge_list
 
 
 def write(tmp_path, name, text):
@@ -141,6 +143,52 @@ def test_prime_guard_exceeded(tmp_path):
     report = run(["prime", target])
     assert report.exit_code == 2
     assert "guard" in report.lines[0]
+
+
+def test_repeated_labels_exit_2(tmp_path):
+    path5 = "5\n0 1\n1 2\n2 3\n3 4\n"
+    repeated_name = write(tmp_path, "name.txt", "# labels: a=0 b=1 a=4\n" + path5)
+    second_name = write(tmp_path, "vertex.txt", "# labels: a=0 b=0\n" + path5)
+    for target, message in ((repeated_name, "repeats name 'a' near 'a=4'"),
+                            (second_name, "vertex 0 a second name near 'b=0'")):
+        for argv in (["sigma", target], ["check-minimal", target, "--set", "a,b"]):
+            report = run(argv)
+            assert report.exit_code == 2 and len(report.lines) == 1
+            assert message in report.lines[0]
+
+
+def test_guard_out_of_range_exit_2(monkeypatch):
+    # parsing alone must refuse these: reaching the graph would start a scan
+    def refuse(n, edges):
+        raise AssertionError("build_graph reached")
+
+    monkeypatch.setattr(primetrees.graph, "build_graph", refuse)
+    for command, extra in (("prime", []), ("sigma", []), ("check-minimal", ["--set", "0"])):
+        for guard in ("-5", str(GUARD_CAP + 1), "40", "x"):
+            assert run([command, "unused.txt", *extra, "--guard", guard]).exit_code == 2
+
+
+def test_oversized_header_exit_2(tmp_path, monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError(f"build_graph reached with n={n}")
+
+    monkeypatch.setattr(primetrees.graph, "build_graph", refuse)
+    target = write(tmp_path, "huge.txt", "200000000\n0 1\n")
+    for command in ("prime", "sigma", "classify-critical"):
+        report = run([command, target])
+        assert report.exit_code == 2 and len(report.lines) == 1
+        assert "guard cap" in report.lines[0]
+
+
+def test_memory_error_exit_2(monkeypatch):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setitem(primetrees.cli._COMMANDS, "prime", exhaust)
+    report = run(["prime", "unused.txt"])
+    assert (report.exit_code, report.lines) == (2, ["error: out of memory"])
+    report = run(["prime", "unused.txt", "--format", "records"])
+    assert render(report) == '{"error": "out of memory"}\n'
 
 
 def test_check_minimal_bad_set(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from primetrees.critical import (
     check_noncritical_set,
     classify_critical_family,
-    is_k_critical,
     noncritical_vertices,
     noncritical_vertices_brute_force,
     unique_module_of_leaf_deletion,
@@ -138,10 +137,9 @@ def test_unique_module_rejections():
 
 
 def test_is_k_critical():
-    assert is_k_critical(p(7), 2)
-    assert not is_k_critical(p(7), 1)
-    assert is_k_critical(spider(4).cert, 4)
-    assert is_k_critical(p(4), 0)
+    assert noncritical_vertices(p(7)).k == 2
+    assert noncritical_vertices(spider(4).cert).k == 4
+    assert noncritical_vertices(p(4)).k == 0
 
 
 def test_classify_named_families():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from primetrees.critical import noncritical_vertices
-from primetrees.enumeration import are_isomorphic, canonical_form
+from primetrees.enumeration import canonical_form
 from primetrees.families import build_family, path, pkt, pmn, skmn, spider
 from primetrees.graph import GraphError
 from primetrees.modules import tree_is_prime
@@ -29,7 +29,7 @@ def test_spider_basics():
     assert family.cert.n == 7
     assert family.cert.graph.degree(family.labels["0"]) == 3
     assert sigma_labels(family) == {"4", "5", "6"}
-    assert are_isomorphic(spider(2).cert, path(5).cert)
+    assert canonical_form(spider(2).cert) == canonical_form(path(5).cert)
     with pytest.raises(GraphError):
         spider(1)
 
@@ -61,7 +61,7 @@ def test_skmn_basics():
     assert set(family.labels) == {"r", "a1", "b1", "b2", "c1", "c2"}
     assert family.cert.graph.degree(family.labels["r"]) == 3
     assert skmn(2, 2, 2).cert.n == 7
-    assert are_isomorphic(skmn(2, 2, 2).cert, spider(3).cert)
+    assert canonical_form(skmn(2, 2, 2).cert) == canonical_form(spider(3).cert)
     with pytest.raises(GraphError, match="1 <= k <= m <= n"):
         skmn(2, 1, 3)
     with pytest.raises(GraphError):

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given
 
 from conftest import simple_graphs
+import primetrees.graph
 from primetrees.graph import (
+    GUARD_CAP,
     GraphError,
     build_graph,
     certify_tree,
     format_edge_list,
     read_edge_list,
-    vertex_set,
 )
 
 
@@ -59,12 +60,12 @@ def test_degree():
 
 
 def test_connected_components():
-    assert p4().connected_components() == [(0, 1, 2, 3)]
-    assert build_graph(3, []).connected_components() == [(0,), (1,), (2,)]
+    assert p4().is_connected()
+    assert build_graph(0, []).is_connected() and build_graph(1, []).is_connected()
+    assert not build_graph(3, []).is_connected()
     sub, remap = p4().induced_subgraph([0, 2, 3])
     assert remap == (0, 2, 3)
-    comps = [vertex_set(remap[v] for v in comp) for comp in sub.connected_components()]
-    assert comps == [(0,), (2, 3)]
+    assert not sub.is_connected()
 
 
 def test_induced_subgraph():
@@ -121,12 +122,17 @@ def test_induced_on_everything_is_identity(g):
 
 @given(simple_graphs())
 def test_components_partition_vertices(g):
-    comps = g.connected_components()
-    seen = [v for comp in comps for v in comp]
-    assert sorted(seen) == list(range(g.n))
-    belongs = {v: i for i, comp in enumerate(comps) for v in comp}
+    # union-find over the edges: connected iff at most one class is left
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
     for u, v in g.edges():
-        assert belongs[u] == belongs[v]
+        root[find(u)] = find(v)
+    assert g.is_connected() == (len({find(v) for v in range(g.n)}) <= 1)
 
 
 def test_edge_list_round_trip():
@@ -159,6 +165,22 @@ def test_edge_list_ignores_plain_comments_and_blanks():
 def test_edge_list_rejects_malformed(text, message):
     with pytest.raises(GraphError, match=message):
         read_edge_list(text)
+
+
+def test_edge_list_refuses_oversized_header_before_allocating(monkeypatch):
+    def refuse(n, edges):
+        raise AssertionError(f"build_graph reached with n={n}")
+
+    monkeypatch.setattr(primetrees.graph, "build_graph", refuse)
+    for text in ("200000000\n0 1\n", f"{GUARD_CAP + 1}\n"):
+        with pytest.raises(GraphError, match="guard cap"):
+            read_edge_list(text)
+
+
+def test_edge_list_keeps_small_or_edge_backed_headers():
+    assert read_edge_list(f"{GUARD_CAP}\n")[0].n == GUARD_CAP
+    star = "".join(f"0 {i}\n" for i in range(1, 30))
+    assert read_edge_list(f"30\n{star}")[0].n == 30
 
 
 @given(simple_graphs())

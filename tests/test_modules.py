@@ -8,8 +8,6 @@ from primetrees.enumeration import all_trees
 from primetrees.graph import GraphError, build_graph, certify_tree
 from primetrees.modules import (
     find_nontrivial_module,
-    forest_is_prime,
-    is_indecomposable,
     is_module,
     is_prime,
     is_prime_brute_force,
@@ -56,10 +54,10 @@ def test_is_prime_examples():
 
 
 def test_is_indecomposable_has_no_size_floor():
-    assert is_indecomposable(build_graph(1, []))
-    assert is_indecomposable(build_graph(2, [(0, 1)]))
-    assert is_indecomposable(build_graph(2, []))
-    assert not is_indecomposable(p(3))
+    assert find_nontrivial_module(build_graph(1, [])) is None
+    assert find_nontrivial_module(build_graph(2, [(0, 1)])) is None
+    assert find_nontrivial_module(build_graph(2, [])) is None
+    assert find_nontrivial_module(p(3)) is not None
     assert not is_prime(build_graph(2, [(0, 1)]))
 
 
@@ -71,15 +69,6 @@ def test_tree_is_prime_examples():
     assert not tree_is_prime(certify_tree(chair))
     assert not is_prime_brute_force(chair)
     assert find_nontrivial_module(chair).members == (0, 4)
-
-
-def test_forest_is_prime():
-    assert forest_is_prime(p(4))
-    assert not forest_is_prime(build_graph(4, [(0, 1), (2, 3)]))
-    assert not forest_is_prime(build_graph(3, [(0, 1), (1, 2)]))
-    assert not forest_is_prime(build_graph(0, []))
-    with pytest.raises(GraphError, match="cycle"):
-        forest_is_prime(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_tree_module_witness_examples():
@@ -135,7 +124,7 @@ def test_tree_modules_are_stable_leaf_sets():
                     assert tree.is_leaf(v)
                 for u in members:
                     for v in members:
-                        assert u == v or not tree.graph.has_edge(u, v)
+                        assert v not in tree.graph.adj[u]
 
 
 @given(labeled_trees(min_n=4, max_n=9))
