@@ -76,7 +76,7 @@ Outcome = tuple[int, list[dict], list[str]]
 
 def _load_graph(path: str) -> tuple[Graph, dict[str, int] | None]:
     """The graph in a file plus its `labels` annotation, checked against n;
-    a name and a vertex may each appear once."""
+    a name must be non-empty, and a name and a vertex may each appear once."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -91,9 +91,11 @@ def _load_graph(path: str) -> tuple[Graph, dict[str, int] | None]:
     for chunk in raw.split():
         name, _, value = chunk.partition("=")
         try:
-            v = int(value)
+            v = int(value) if name else None
         except ValueError:
-            raise GraphError(f"malformed labels annotation near {chunk!r}") from None
+            v = None
+        if v is None:
+            raise GraphError(f"malformed labels annotation near {chunk!r}")
         if not 0 <= v < graph.n:
             raise GraphError(
                 f"labels annotation names vertex {v} out of range "

@@ -7,9 +7,14 @@ the classic 1...0 parenthesis string with children sorted by their encoded
 byte strings; a bicentroidal tree takes the lexicographically smaller of its
 two rooted encodings.
 
-Unlabeled generation runs the level-sequence successor over all rooted trees
-and de-duplicates by canonical code.  The independent oracle enumerates all
-n^(n-2) labeled trees from their sequences and collapses them the same way.
+Unlabeled generation is the free-tree generator of Wright, Richmond, Odlyzko
+and McKay (SIAM J. Comput. 15(2), 1986): it walks centre-rooted level
+sequences and yields exactly one per free tree, so each class is encoded
+once.  The independent oracle decodes all n^(n-2) labeled trees from their
+sequences; it names every rooted subtree by interning its sorted tuple of
+child names to a small int (Aho, Hopcroft and Ullman 1974), keys each tree
+by the name of its centroid-rooted form, and encodes to bytes only one
+representative per key.
 """
 
 from __future__ import annotations
@@ -131,28 +136,57 @@ def decode_canonical(code: bytes) -> TreeCert:
 
 
 # ---------------------------------------------------------------------------
-# rooted level sequences (successor generation) and unlabeled trees
+# free trees as centre-rooted level sequences
 
 
-def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
-    """All level sequences of rooted trees on n vertices, root at level 0.
+def _free_level_sequences(n: int) -> Iterator[list[int]]:
+    """One level sequence per free tree on n vertices, rooted at its centre.
 
-    Starts from the path [0, 1, ..., n-1]; the successor truncates at the
-    rightmost level >= 2 and tiles the tail from the matching earlier block.
-    Each rooted tree on n vertices appears exactly once.
+    Wright, Richmond, Odlyzko and McKay (1986).  Rooted level sequences are
+    walked in decreasing order from the path rooted at its centre.  A
+    sequence is kept when the root's first subtree ("left") is no higher than
+    the rest of the tree and, at equal heights, has no more vertices and is
+    not lexicographically later; that roots every tree at its centre and a
+    bicentral tree at one of its two centres only.  A rejected sequence's
+    successor is taken at the end of its left subtree, skipping every
+    sequence that keeps that subtree; when that subtree ended deeper than
+    level 2, the tail is replaced by a path from the root that reaches as
+    deep as the new left subtree, so the rest is higher than it.  The
+    yielded list is reused; copy it to keep it.
     """
-    levels = list(range(n))
+    if n <= 2:
+        yield list(range(n))
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
-        yield levels
-        p = max((i for i in range(n) if levels[i] >= 2), default=-1)
-        if p < 0:
-            return
-        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
-        d = p - q
-        nxt = levels[:p]
+        try:
+            m = levels.index(1, 2)  # where the root's second subtree starts
+        except ValueError:
+            m = n
+        left = [x - 1 for x in levels[1:m]]
+        rest = [0] + levels[m:]
+        lh, rh = max(left), max(rest)
+        if rh > lh or (rh == lh and (len(left), left) <= (len(rest), rest)):
+            yield levels
+            p = n - 1
+            while levels[p] == 1:
+                p -= 1
+            if p == 0:
+                return
+            raise_tail = False
+        else:
+            p = m - 1
+            raise_tail = levels[p] > 2
+        # level-sequence successor at p: tile the tail from p's parent block
+        q = p - 1
+        while levels[q] != levels[p] - 1:
+            q -= 1
         for i in range(p, n):
-            nxt.append(nxt[i - d])
-        levels = nxt
+            levels[i] = levels[i - p + q]
+        if raise_tail:
+            # the tiled tail (levels >= 2) joined the left subtree
+            h = max(levels)
+            levels[n - h:] = range(1, h + 1)
 
 
 def _levels_to_adj(levels: list[int]) -> list[list[int]]:
@@ -172,10 +206,8 @@ def all_tree_codes(n: int) -> tuple[bytes, ...]:
     """Canonical codes of all isomorphism classes of trees on n vertices, sorted."""
     if not 1 <= n <= CLASS_GUARD:
         raise GraphError(f"tree enumeration supports 1..{CLASS_GUARD} vertices, got {n}")
-    seen: set[bytes] = set()
-    for levels in _rooted_level_sequences(n):
-        seen.add(_canonical_from_adj(_levels_to_adj(levels)))
-    return tuple(sorted(seen))
+    codes = (_canonical_from_adj(_levels_to_adj(lv)) for lv in _free_level_sequences(n))
+    return tuple(sorted(codes))
 
 
 def all_trees(n: int) -> Iterator[TreeCert]:
@@ -188,22 +220,27 @@ def all_trees(n: int) -> Iterator[TreeCert]:
 # labeled trees (independent oracle)
 
 
-def _prufer_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
-    """Adjacency lists of the labeled tree on 0..n-1 with the given sequence.
+def _prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """Parent array and children-first order of the labeled tree on 0..n-1
+    with the given sequence, rooted at n-1 (whose parent is -1).
 
+    Each step removes the smallest leaf and joins it to the next entry, which
+    is therefore its parent; `order` lists the vertices as they are removed,
+    then n-1, so every vertex comes after all of its children.
     Unchecked: the sequence must have length n-2 >= 0 and entries in 0..n-1.
     """
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    adj: list[list[int]] = [[] for _ in range(n)]
+    parent = [-1] * n
+    order: list[int] = []
     ptr = 0
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in seq:
-        adj[leaf].append(x)
-        adj[x].append(leaf)
+        parent[leaf] = x
+        order.append(leaf)
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
@@ -212,9 +249,10 @@ def _prufer_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    adj[leaf].append(n - 1)
-    adj[n - 1].append(leaf)
-    return adj
+    parent[leaf] = n - 1
+    order.append(leaf)
+    order.append(n - 1)
+    return parent, order
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -227,16 +265,70 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     for x in seq:
         if not 0 <= x < n:
             raise GraphError(f"sequence entry {x} out of range")
-    adj = _prufer_adjacency(seq, n)
-    return sorted((u, v) for u in range(n) for v in adj[u] if u < v)
+    parent, _ = _prufer_parents(seq, n)
+    return sorted((min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0)
 
 
 def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
-    """Canonical codes of all labeled trees whose sequence starts with `prefix`."""
+    """Canonical codes of all labeled trees whose sequence starts with `prefix`.
+
+    One pass over the children-first order names every subtree rooted at n-1
+    (a leaf is 0; an inner vertex is its sorted tuple of child names, interned
+    to a small int) and finds the lowest vertex whose subtree holds at least
+    half the tree.  That vertex is the centroid when its subtree holds more
+    than half; when it holds exactly half, it and its parent are the two
+    centroids.  Only the path from the (upper) centroid to n-1 is renamed
+    for the new root.  The key is the name of the centroid-rooted tree, or
+    the sorted pair of half-tree names of a bicentroidal one, so equal keys
+    mean isomorphic trees; one representative per key is encoded to bytes.
+    """
     n, prefix = task
-    codes: set[bytes] = set()
+    root = n - 1
+    names: dict[tuple[int, ...], int] = {(): 0}
+    reps: dict[int | tuple[int, int], list[int]] = {}
     for tail in product(range(n), repeat=(n - 2) - len(prefix)):
-        codes.add(_canonical_from_adj(_prufer_adjacency(prefix + tail, n)))
+        parent, order = _prufer_parents(prefix + tail, n)
+        kids: list[list[int]] = [[] for _ in range(n)]
+        size = [1] * n
+        name = [0] * n
+        low = -1
+        for v in order:
+            k = kids[v]
+            if k:
+                k.sort()
+                name[v] = names.setdefault(tuple(k), len(names))
+            if low < 0 and 2 * size[v] >= n:
+                low = v
+            p = parent[v]
+            if p >= 0:
+                kids[p].append(name[v])
+                size[p] += size[v]
+        cent = low if 2 * size[low] > n else parent[low]
+        # (vertex, old child dropped from its children) from cent up to n-1
+        path = [(cent, low if cent != low else -1)]
+        while path[-1][0] != root:
+            u = path[-1][0]
+            path.append((parent[u], u))
+        up = -1  # name of the part above the vertex being renamed
+        for u, below in reversed(path):
+            k = kids[u][:]
+            if below >= 0:
+                k.remove(name[below])
+            if up >= 0:
+                k.append(up)
+            k.sort()
+            up = names.setdefault(tuple(k), len(names))
+        key = up if cent == low else (min(up, name[low]), max(up, name[low]))
+        if key not in reps:
+            reps[key] = parent
+    codes: set[bytes] = set()
+    for parent in reps.values():
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
+            if p >= 0:
+                adj[v].append(p)
+                adj[p].append(v)
+        codes.add(_canonical_from_adj(adj))
     return frozenset(codes)
 
 

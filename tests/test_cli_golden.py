@@ -3,9 +3,9 @@
 Each case runs `cli.run` and compares the exit status and the exact bytes of
 `cli.render` with `cli_golden.json`.  Inputs are the `gen` families plus
 hand-written files (a decomposable star and chair, the non-tree prime C5,
-5-paths with a malformed, an out-of-range, a repeating, a partial and an
-empty labels annotation, and three non-trees), written to a scratch
-directory that the cases address by relative name.
+5-paths with a malformed, an out-of-range, a repeating, an empty-name, a
+partial and an empty labels annotation, and three non-trees), written to a
+scratch directory that the cases address by relative name.
 
 Regenerate the expected data after a deliberate output change with
 `PYTHONPATH=src python tests/test_cli_golden.py`, and review the diff.
@@ -43,6 +43,7 @@ HAND_WRITTEN = {
     "badlabels.txt": "# labels: a=0 b=x\n5\n0 1\n1 2\n2 3\n3 4\n",
     "farlabels.txt": "# labels: a=0 b=9\n5\n0 1\n1 2\n2 3\n3 4\n",
     "duplabels.txt": "# labels: a=0 b=0 a=4\n5\n0 1\n1 2\n2 3\n3 4\n",
+    "emptylabel.txt": "# labels: =0 b=4\n5\n0 1\n1 2\n2 3\n3 4\n",
     "partlabels.txt": "# labels: a=0 b=2\n5\n0 1\n1 2\n2 3\n3 4\n",
     "nolabels.txt": "# labels:\n5\n0 1\n1 2\n2 3\n3 4\n",
     "forest.txt": "4\n0 1\n2 3\n",
@@ -92,6 +93,7 @@ def _cases() -> list[list[str]]:
         ["check-minimal", "badlabels.txt", "--set", "a"],
         ["check-minimal", "farlabels.txt", "--set", "a"],
         ["check-minimal", "duplabels.txt", "--set", "a,b"],
+        ["check-minimal", "emptylabel.txt", "--set", "b"],
         ["check-minimal", "partlabels.txt", "--set", "a,4", "--brute"],
         ["extract-minimal", "partlabels.txt", "--set", "b,4"],
         ["extract-minimal", "nolabels.txt", "--set", "0,3"],

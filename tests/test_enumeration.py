@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -64,9 +66,60 @@ def test_canonical_invariant_fifty_relabelings_per_tree():
 
 def test_class_counts_match_published_table():
     # number of unlabeled trees (OEIS A000055)
-    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
     for n, count in enumerate(expected, start=1):
         assert len(all_tree_codes(n)) == count
+
+
+def automorphism_count(tree):
+    """|Aut T| by AHU naming: each vertex contributes k! for every k equal
+    child names, and a bicentroidal tree with equal halves one factor 2."""
+    n, adj = tree.n, tree.graph.adj
+    ids = {}
+
+    def bfs(root, banned):
+        parent = {root: banned}
+        order = [root]
+        for u in order:
+            for w in adj[u]:
+                if w != parent[u]:
+                    parent[w] = u
+                    order.append(w)
+        return order, parent
+
+    def rooted(root, banned):
+        """(name, automorphisms) of the subtree at root that avoids banned."""
+        order, parent = bfs(root, banned)
+        name, aut = {}, {}
+        for u in reversed(order):
+            kids = [w for w in adj[u] if w != parent[u]]
+            names = sorted(name[w] for w in kids)
+            aut[u] = prod(aut[w] for w in kids) * prod(map(factorial, Counter(names).values()))
+            name[u] = ids.setdefault(tuple(names), len(ids))
+        return name[root], aut[root]
+
+    order, parent = bfs(0, -1)
+    size = dict.fromkeys(order, 1)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    weight = {
+        u: max([n - size[u]] + [size[w] for w in adj[u] if w != parent[u]]) for u in order
+    }
+    least = min(weight.values())
+    cents = [u for u in order if weight[u] == least]
+    if len(cents) == 1:
+        return rooted(cents[0], -1)[1]
+    (a, aut_a), (b, aut_b) = rooted(cents[0], cents[1]), rooted(cents[1], cents[0])
+    return aut_a * aut_b * (2 if a == b else 1)
+
+
+def test_orbit_counts_sum_to_cayley():
+    # each class is hit by n!/|Aut T| labeled trees, n^(n-2) in all
+    assert automorphism_count(p(4)) == 2
+    assert automorphism_count(certify_tree(build_graph(5, [(0, i) for i in range(1, 5)]))) == 24
+    for n in range(1, 17):
+        total = sum(factorial(n) // automorphism_count(tree) for tree in all_trees(n))
+        assert total == n ** max(n - 2, 0), n
 
 
 def test_class_counts_match_labeled_oracle_small():

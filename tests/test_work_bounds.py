@@ -1,10 +1,11 @@
-"""Bounds on repeated work: subset scans per call and worker processes per sweep."""
+"""Bounds on repeated work: subset scans per call, worker processes per sweep,
+and byte encodings per enumeration."""
 
 from __future__ import annotations
 
 import concurrent.futures
 
-from primetrees import critical
+from primetrees import critical, enumeration
 from primetrees.enumeration import all_tree_codes, labeled_tree_class_codes
 from primetrees.graph import build_graph
 
@@ -46,3 +47,32 @@ def test_labeled_sweep_pool_is_capped_by_task_count(monkeypatch):
     codes = labeled_tree_class_codes(7, jobs=64)
     assert sizes == [7]
     assert codes == frozenset(all_tree_codes(7))
+
+
+def _count_encodings(monkeypatch) -> list[int]:
+    calls = []
+    encode = enumeration._canonical_from_adj
+
+    def counted(adj):
+        calls.append(len(adj))
+        return encode(adj)
+
+    monkeypatch.setattr(enumeration, "_canonical_from_adj", counted)
+    return calls
+
+
+def test_class_enumeration_encodes_each_free_tree_once(monkeypatch):
+    calls = _count_encodings(monkeypatch)
+    all_tree_codes.cache_clear()
+    codes = all_tree_codes(12)
+    # 551 free trees (OEIS A000055), not the 4,766 rooted trees (A000081)
+    assert len(codes) == 551
+    assert calls == [12] * 551
+
+
+def test_labeled_sweep_encodes_one_tree_per_class(monkeypatch):
+    expected = frozenset(all_tree_codes(7))
+    calls = _count_encodings(monkeypatch)
+    # 11 classes on 7 vertices, not one encoding per each of the 7^5 sequences
+    assert labeled_tree_class_codes(7, jobs=1) == expected
+    assert calls == [7] * 11
