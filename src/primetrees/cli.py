@@ -470,18 +470,43 @@ def _guard(text: str) -> int:
     return int(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="primetrees",
-        description="Prime trees under modular decomposition: checks, families, counts.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
+class _UsageError(Exception):
+    """A command line argparse rejects: its usage text and its message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print and exit, so that `run`
+    can report the error in the requested format; subparsers inherit this."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n", message)
+
+
+def _format_parser() -> _Parser:
+    common = _Parser(add_help=False)
     common.add_argument(
         "--format",
         choices=("text", "records"),
         default="text",
         help="text lines (default) or one JSON object per line",
     )
+    return common
+
+
+def _requested_format(argv: list[str]) -> str:
+    """The `--format` of a rejected command line; text when it names none."""
+    try:
+        return _format_parser().parse_known_args(argv)[0].format
+    except _UsageError:
+        return "text"
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="primetrees",
+        description="Prime trees under modular decomposition: checks, families, counts.",
+    )
+    common = _format_parser()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prime", parents=[common], help="primality verdict with a module witness")
@@ -541,12 +566,14 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> Report:
     """Parse and execute; never raises for bad input, returns exit code 2."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return Report(exit_code=2 if code != 0 else 0)
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help printed the help text
+        return Report()
+    except _UsageError as exc:
+        usage, message = exc.args
+        sys.stderr.write(usage)
+        return Report(2, records=[{"error": message}], format=_requested_format(argv))
     try:
         exit_code, records, lines = _COMMANDS[args.command](args)
     except (ValueError, MemoryError) as exc:  # GraphError included: bad or oversized input

@@ -237,30 +237,30 @@ class CriticalFamily:
 def classify_critical_family(tree: TreeCert) -> CriticalFamily:
     """Match a prime tree against the named families by canonical form.
 
-    Candidate parameters are recovered from the vertex and leaf counts, then
-    confirmed by canonical-code equality with a freshly built member, so no
-    case analysis is trusted without the isomorphism check.  Precedence is
-    path, spider, single-hub, double-hub; the 5-vertex spider coincides with
-    the 5-path and reports as a path.
+    The one candidate member is read off the support table.  Call a support
+    of degree >= 3 a hub and let pairs = leaves - 2: a tree with at most two
+    leaves can only be the path (the 5-vertex spider included), one with no
+    hub only the spider, and one with one or two hubs whose degrees less 2
+    sum to pairs only Pkt or Pmn on a backbone of n - 2 pairs >= 4 vertices
+    (each support has its own leaf).  Each member has exactly these hubs, and
+    degrees are invariant, so canonical-code equality with it decides.
     """
     if not tree_is_prime(tree):
         raise GraphError("family classification is defined for prime trees only")
-    n = tree.n
-    code = canonical_form(tree)
-    if code == canonical_form(path(n).cert):
-        return CriticalFamily("Path", (n,))
-    if n % 2 == 1 and n >= 5:
-        m = (n - 1) // 2
-        if code == canonical_form(spider(m).cert):
-            return CriticalFamily("Spider", (m,))
+    n, adj = tree.n, tree.graph.adj
     pairs = len(tree.leaves) - 2
-    k = n - 2 * pairs
-    if pairs >= 1 and k >= 4 and code == canonical_form(pkt(k, pairs).cert):
-        return CriticalFamily("Pkt", (k, pairs))
-    m = n - 2 * pairs
-    if pairs >= 2 and m >= 4:
-        for n1 in range(1, pairs // 2 + 1):
-            n2 = pairs - n1
-            if code == canonical_form(pmn(m, n1, n2).cert):
-                return CriticalFamily("Pmn", (m, n1, n2))
-    return CriticalFamily("Other")
+    excess = sorted(len(adj[s]) - 2 for s in tree.supports if len(adj[s]) >= 3)
+    backbone = n - 2 * pairs
+    if pairs <= 0:
+        kind, build, params = "Path", path, (n,)
+    elif not excess and n % 2 == 1:
+        kind, build, params = "Spider", spider, ((n - 1) // 2,)
+    elif excess == [pairs]:
+        kind, build, params = "Pkt", pkt, (backbone, pairs)
+    elif len(excess) == 2 and sum(excess) == pairs:
+        kind, build, params = "Pmn", pmn, (backbone, *excess)
+    else:
+        return CriticalFamily("Other")
+    if canonical_form(tree) != canonical_form(build(*params).cert):
+        return CriticalFamily("Other")
+    return CriticalFamily(kind, params)

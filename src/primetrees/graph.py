@@ -188,8 +188,10 @@ def read_edge_list(text: str) -> tuple[Graph, dict[str, str]]:
     The first non-comment line is the vertex count n, then one `u v` pair per
     line (0-based ids, whitespace-separated).  Lines starting with `#` are
     skipped; comments of the form `# key: value` are collected and returned
-    as annotations.  A count above both GUARD_CAP and the edge lines + 1 (a
-    disconnected graph no scan may take) is refused before any allocation.
+    as annotations.  A count above GUARD_CAP is refused before any per-vertex
+    allocation when it exceeds the edge lines + 1 or some vertex id appears in
+    no edge line (duplicate or clustered edges): the graph is disconnected and
+    no scan may take it.
     """
     annotations: dict[str, str] = {}
     n: int | None = None
@@ -223,11 +225,23 @@ def read_edge_list(text: str) -> tuple[Graph, dict[str, str]]:
         edges.append((u, v))
     if n is None:
         raise GraphError("missing vertex count line")
-    if n > len(edges) + 1 and n > GUARD_CAP:
-        raise GraphError(
-            f"vertex count {n} is above the guard cap {GUARD_CAP} with only {len(edges)} "
-            f"edge line(s): the graph is disconnected and too large to scan"
-        )
+    if n > GUARD_CAP:
+        if n > len(edges) + 1:
+            raise GraphError(
+                f"vertex count {n} is above the guard cap {GUARD_CAP} with only {len(edges)} "
+                f"edge line(s): the graph is disconnected and too large to scan"
+            )
+        seen = bytearray(n)  # n bytes, at most the edge lines + 1
+        for edge in edges:
+            for w in edge:
+                if 0 <= w < n:
+                    seen[w] = 1
+        missing = seen.count(0)
+        if missing:
+            raise GraphError(
+                f"vertex count {n} is above the guard cap {GUARD_CAP} but {missing} vertex "
+                f"id(s) appear in no edge line: the graph is disconnected and too large to scan"
+            )
     return build_graph(n, edges), annotations
 
 

@@ -3,14 +3,15 @@ from __future__ import annotations
 import pytest
 
 from primetrees.critical import (
+    CriticalFamily,
     check_noncritical_set,
     classify_critical_family,
     noncritical_vertices,
     noncritical_vertices_brute_force,
     unique_module_of_leaf_deletion,
 )
-from primetrees.enumeration import all_trees
-from primetrees.families import pkt, pmn, skmn, spider
+from primetrees.enumeration import all_trees, canonical_form
+from primetrees.families import path, pkt, pmn, skmn, spider
 from primetrees.graph import GraphError, build_graph, certify_tree
 from primetrees.modules import iter_nontrivial_modules, tree_is_prime
 
@@ -156,6 +157,38 @@ def test_classify_named_families():
 def test_classify_rejects_decomposable():
     with pytest.raises(GraphError, match="prime"):
         classify_critical_family(p(3))
+
+
+def _family_table(n: int) -> dict[bytes, CriticalFamily]:
+    """Every path, spider, Pkt and Pmn member on n vertices, keyed by code.
+
+    Members are listed family by family in precedence order, Pmn with
+    n1 <= n2, and the first family to claim a code keeps it.
+    """
+    members = [("Path", path(n))]
+    if n % 2 == 1:
+        members.append(("Spider", spider((n - 1) // 2)))
+    for t in range(1, (n - 4) // 2 + 1):
+        members.append(("Pkt", pkt(n - 2 * t, t)))
+    for s in range(2, (n - 4) // 2 + 1):
+        for n1 in range(1, s // 2 + 1):
+            members.append(("Pmn", pmn(n - 2 * s, n1, s - n1)))
+    table: dict[bytes, CriticalFamily] = {}
+    for kind, member in members:
+        table.setdefault(canonical_form(member.cert), CriticalFamily(kind, member.params))
+    return table
+
+
+def test_classification_matches_a_table_of_every_family_member():
+    checked = 0
+    for n in range(5, 17):
+        table = _family_table(n)
+        for tree in all_trees(n):
+            if tree_is_prime(tree):
+                expected = table.get(canonical_form(tree), CriticalFamily("Other"))
+                assert classify_critical_family(tree) == expected, tree.graph.edges()
+                checked += 1
+    assert checked == 3149
 
 
 def test_classification_round_trip_against_computed_k():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -175,6 +177,14 @@ def test_edge_list_refuses_oversized_header_before_allocating(monkeypatch):
     for text in ("200000000\n0 1\n", f"{GUARD_CAP + 1}\n"):
         with pytest.raises(GraphError, match="guard cap"):
             read_edge_list(text)
+    # enough edge lines, but duplicated or clustered on a few vertices, so
+    # some vertex is isolated
+    n = 3000
+    clustered = "".join(f"{u} {v}\n" for u, v in list(combinations(range(80), 2))[: n - 1])
+    for body in ("0 1\n" * (n - 1), clustered):
+        assert body.count("\n") == n - 1
+        with pytest.raises(GraphError, match="guard cap.*appear in no edge line"):
+            read_edge_list(f"{n}\n{body}")
 
 
 def test_edge_list_keeps_small_or_edge_backed_headers():

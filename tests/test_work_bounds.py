@@ -1,5 +1,5 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
-and byte encodings per enumeration."""
+byte encodings per enumeration and canonical codes per classification."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import concurrent.futures
 
 from primetrees import critical, enumeration
 from primetrees.enumeration import all_tree_codes, labeled_tree_class_codes
-from primetrees.graph import build_graph
+from primetrees.families import path, pkt, pmn, spider
+from primetrees.graph import build_graph, certify_tree
 
 
 def test_noncritical_vertices_scans_primality_once_per_deletion(monkeypatch):
@@ -76,3 +77,27 @@ def test_labeled_sweep_encodes_one_tree_per_class(monkeypatch):
     # 11 classes on 7 vertices, not one encoding per each of the 7^5 sequences
     assert labeled_tree_class_codes(7, jobs=1) == expected
     assert calls == [7] * 11
+
+
+def test_classification_codes_at_most_one_candidate(monkeypatch):
+    calls = []
+    code = critical.canonical_form
+
+    def counted(tree):
+        calls.append(tree.n)
+        return code(tree)
+
+    monkeypatch.setattr(critical, "canonical_form", counted)
+    for member in (pmn(40, 5, 9), pkt(9, 3), spider(6), path(12)):
+        calls.clear()
+        assert critical.classify_critical_family(member.cert).kind != "Other"
+        # the input and the one candidate read off the support table
+        assert len(calls) <= 2, member.params
+    # the 9-path with a pendant two-path at vertices 1, 4 and 7: the hubs 1
+    # and 7 have degrees less 2 summing to 2, not to the 3 pendant pairs
+    edges = [(i, i + 1) for i in range(8)]
+    for j, v in enumerate((1, 4, 7)):
+        edges += [(v, 9 + 2 * j), (9 + 2 * j, 10 + 2 * j)]
+    calls.clear()
+    assert str(critical.classify_critical_family(certify_tree(build_graph(15, edges)))) == "Other"
+    assert calls == []
