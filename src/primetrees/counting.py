@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .critical import noncritical_vertices
-from .enumeration import all_trees
+from .enumeration import all_tree_codes, all_trees
 from .graph import TreeCert
 from .minimal import is_k_minimal
 from .modules import tree_is_prime
@@ -134,6 +134,8 @@ def count_table(
     n_min, predicate, formula = _PREDICATES[kind]
     if n_max < n_min:
         raise ValueError(f"n_max must be >= {n_min} for {kind}, got {n_max}")
+    if verify:
+        all_tree_codes(n_max)  # refuse past the class guard before enumerating
     rows = []
     for n in range(n_min, n_max + 1):
         enumerated = sum(1 for tree in all_trees(n) if predicate(tree)) if verify else None

@@ -54,54 +54,48 @@ def _tree_bfs(
     return order, parent
 
 
-def _centroids(adj: list[tuple[int, ...]] | list[list[int]]) -> list[int]:
-    """The one or two centroids of a tree given as adjacency lists."""
-    n = len(adj)
-    order, parent = _tree_bfs(adj, 0)
-    size = [1] * n
-    heaviest = [0] * n
-    for i in range(n - 1, 0, -1):
-        u = order[i]
-        p = parent[u]
-        size[p] += size[u]
-        if size[u] > heaviest[p]:
-            heaviest[p] = size[u]
-    best = n
-    out: list[int] = []
-    for v in range(n):
-        weight = n - size[v]
-        if heaviest[v] > weight:
-            weight = heaviest[v]
-        if weight < best:
-            best = weight
-            out = [v]
-        elif weight == best:
-            out.append(v)
-    return out
-
-
 def _rooted_code(adj: list[tuple[int, ...]] | list[list[int]], root: int) -> bytes:
-    """AHU encoding of the tree rooted at `root`: 1 <sorted child codes> 0."""
-    n = len(adj)
+    """AHU encoding of the tree rooted at `root`: 1 <sorted child codes> 0.
+
+    Each finished code waits in its parent's pending list, which is cleared
+    once the parent is encoded, so the live codes belong to disjoint subtrees
+    and take O(n) bytes; copying codes into their parents costs O(n · height).
+    """
     order, parent = _tree_bfs(adj, root)
-    codes: list[bytes] = [b""] * n
-    for i in range(n - 1, -1, -1):
-        u = order[i]
-        pu = parent[u]
-        kids = [codes[w] for w in adj[u] if w != pu]
-        if kids:
-            kids.sort()
-            codes[u] = b"1" + b"".join(kids) + b"0"
+    kids: list[list[bytes]] = [[] for _ in order]
+    for u in reversed(order):
+        k = kids[u]
+        if k:
+            k.sort()
+            code = b"".join((b"1", *k, b"0"))
+            k.clear()
         else:
-            codes[u] = b"10"
-    return codes[root]
+            code = b"10"
+        p = parent[u]
+        if p >= 0:
+            kids[p].append(code)
+    return code
 
 
 def _canonical_from_adj(adj: list[tuple[int, ...]] | list[list[int]]) -> bytes:
-    cents = _centroids(adj)
-    code = _rooted_code(adj, cents[0])
-    if len(cents) == 2:
-        other = _rooted_code(adj, cents[1])
+    """The code rooted at the centroid, or the smaller of the two rooted codes
+    of a bicentroidal tree.
+
+    Centroid rule: in an order that lists every vertex after its children,
+    the first vertex whose subtree holds at least half the tree is a
+    centroid; when it holds exactly half, its parent is the other centroid.
+    Here the order is the BFS order from vertex 0, reversed.
+    """
+    n = len(adj)
+    order, parent = _tree_bfs(adj, 0)
+    size = [1] * n
+    for c in reversed(order):
+        if 2 * size[c] >= n:
+            break
+        size[parent[c]] += size[c]
+    code = _rooted_code(adj, c)
+    if 2 * size[c] == n:
+        other = _rooted_code(adj, parent[c])
         if other < code:
             code = other
     return code
@@ -274,13 +268,12 @@ def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
 
     One pass over the children-first order names every subtree rooted at n-1
     (a leaf is 0; an inner vertex is its sorted tuple of child names, interned
-    to a small int) and finds the lowest vertex whose subtree holds at least
-    half the tree.  That vertex is the centroid when its subtree holds more
-    than half; when it holds exactly half, it and its parent are the two
-    centroids.  Only the path from the (upper) centroid to n-1 is renamed
-    for the new root.  The key is the name of the centroid-rooted tree, or
-    the sorted pair of half-tree names of a bicentroidal one, so equal keys
-    mean isomorphic trees; one representative per key is encoded to bytes.
+    to a small int) and finds the centroid by the rule in
+    `_canonical_from_adj`.  Only the path from the (upper) centroid to n-1 is
+    renamed for the new root.  The key is the name of the centroid-rooted
+    tree, or the sorted pair of half-tree names of a bicentroidal one, so
+    equal keys mean isomorphic trees; one representative per key is encoded
+    to bytes.
     """
     n, prefix = task
     root = n - 1

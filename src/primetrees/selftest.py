@@ -191,39 +191,43 @@ def unique_module_exceptions(n_max: int = 10) -> list[str]:
 
 
 def uniqueness_exceptions(n_max: int = 14) -> list[str]:
-    """Counted uniqueness claims for k = 1, k = floor(n/2), and k = 0."""
-    bad = []
-    for n in range(5, n_max + 1):
-        one_critical = [t for t in _prime_trees(n) if noncritical_vertices(t).k == 1]
-        if n % 2 == 0:
-            expected = pkt(4, (n - 4) // 2).cert
-            if len(one_critical) != 1:
-                bad.append(f"n={n}: {len(one_critical)} trees with k=1, expected 1")
-            elif canonical_form(one_critical[0]) != canonical_form(expected):
-                bad.append(f"n={n}: the k=1 tree is not the single-hub member")
-        elif one_critical:
-            bad.append(f"n={n}: {len(one_critical)} trees with k=1, expected 0")
+    """Counted uniqueness claims for k = 1, k = floor(n/2), and k = 0.
 
-        half_critical = [
-            t for t in _prime_trees(n) if noncritical_vertices(t).k == n // 2
-        ]
-        if n % 2 == 1:
-            expected = spider((n - 1) // 2).cert
-            if len(half_critical) != 1:
+    Each n's prime trees are decoded and their k computed once, for all
+    three claims.
+    """
+    bad = []
+    for n in range(4, n_max + 1):
+        trees = [(t, noncritical_vertices(t).k) for t in _prime_trees(n)]
+        if n >= 5:
+            one_critical = [t for t, k in trees if k == 1]
+            if n % 2 == 0:
+                expected = pkt(4, (n - 4) // 2).cert
+                if len(one_critical) != 1:
+                    bad.append(f"n={n}: {len(one_critical)} trees with k=1, expected 1")
+                elif canonical_form(one_critical[0]) != canonical_form(expected):
+                    bad.append(f"n={n}: the k=1 tree is not the single-hub member")
+            elif one_critical:
+                bad.append(f"n={n}: {len(one_critical)} trees with k=1, expected 0")
+
+            half_critical = [t for t, k in trees if k == n // 2]
+            if n % 2 == 1:
+                expected = spider((n - 1) // 2).cert
+                if len(half_critical) != 1:
+                    bad.append(
+                        f"n={n}: {len(half_critical)} trees with k=floor(n/2), expected 1"
+                    )
+                elif canonical_form(half_critical[0]) != canonical_form(expected):
+                    bad.append(f"n={n}: the k=floor(n/2) tree is not the spider")
+            elif half_critical:
                 bad.append(
-                    f"n={n}: {len(half_critical)} trees with k=floor(n/2), expected 1"
+                    f"n={n}: {len(half_critical)} trees with k=floor(n/2), expected 0"
                 )
-            elif canonical_form(half_critical[0]) != canonical_form(expected):
-                bad.append(f"n={n}: the k=floor(n/2) tree is not the spider")
-        elif half_critical:
-            bad.append(
-                f"n={n}: {len(half_critical)} trees with k=floor(n/2), expected 0"
-            )
-    for n in range(4, min(n_max, 12) + 1):
-        zero = [t for t in _prime_trees(n) if noncritical_vertices(t).k == 0]
-        expected_count = 1 if n == 4 else 0
-        if len(zero) != expected_count:
-            bad.append(f"n={n}: {len(zero)} prime trees with empty set, expected {expected_count}")
+        if n <= 12:
+            zero = sum(1 for _, k in trees if k == 0)
+            expected_count = 1 if n == 4 else 0
+            if zero != expected_count:
+                bad.append(f"n={n}: {zero} prime trees with empty set, expected {expected_count}")
     return bad
 
 

@@ -121,6 +121,7 @@ def _cases() -> list[list[str]]:
         ["count", "--what", "minimal3", "--nmax", "9", "--verify"],
         ["count", "--what", "critical2", "--nmax", "10", "--verify"],
         ["count", "--what", "critical2", "--nmax", "4"],
+        ["count", "--what", "critical2", "--nmax", "19", "--verify"],
         ["selftest"],
         [],
         ["bogus"],

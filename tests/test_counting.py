@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from primetrees import counting
 from primetrees.counting import (
     count_3minimal_formula,
     count_minus2_critical_formula,
@@ -11,6 +12,7 @@ from primetrees.counting import (
     partitions_three_parts,
     partitions_two_parts,
 )
+from primetrees.graph import GraphError
 from primetrees.selftest import partition_oracle_exceptions
 
 
@@ -122,3 +124,14 @@ def test_count_table_rejections():
         count_table("nope", 8)
     with pytest.raises(ValueError, match="n_max"):
         count_table("critical2", 4)
+
+
+def test_count_table_refuses_past_the_class_guard_before_enumerating(monkeypatch):
+    def unreachable(n):
+        raise AssertionError(f"enumerated n = {n} before refusing")
+
+    monkeypatch.setattr(counting, "all_trees", unreachable)
+    with pytest.raises(GraphError, match="1..18 vertices, got 19"):
+        count_table("critical2", 19)
+    with pytest.raises(GraphError, match="1..18 vertices, got 30"):
+        count_table("minimal3", 30)

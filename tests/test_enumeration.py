@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from math import factorial, prod
@@ -69,6 +70,13 @@ def test_class_counts_match_published_table():
     expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
     for n, count in enumerate(expected, start=1):
         assert len(all_tree_codes(n)) == count
+
+
+def test_class_codes_are_pinned_byte_for_byte():
+    # the other code tests compare the coder with itself; this pins its bytes
+    data = b"".join(c + b"\n" for n in range(1, 15) for c in all_tree_codes(n))
+    digest = "78bbef247e0d19c2917859f68aba7295dd9c56ef76289a912ea09ced623fb3e4"
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def automorphism_count(tree):

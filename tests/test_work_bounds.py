@@ -1,12 +1,14 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
-byte encodings per enumeration and canonical codes per classification."""
+byte encodings per enumeration and canonical codes per classification; and
+on the canonical coder's memory."""
 
 from __future__ import annotations
 
 import concurrent.futures
+import tracemalloc
 
 from primetrees import critical, enumeration
-from primetrees.enumeration import all_tree_codes, labeled_tree_class_codes
+from primetrees.enumeration import all_tree_codes, canonical_form, labeled_tree_class_codes
 from primetrees.families import path, pkt, pmn, spider
 from primetrees.graph import build_graph, certify_tree
 
@@ -101,3 +103,16 @@ def test_classification_codes_at_most_one_candidate(monkeypatch):
     calls.clear()
     assert str(critical.classify_critical_family(certify_tree(build_graph(15, edges)))) == "Other"
     assert calls == []
+
+
+def test_canonical_code_of_a_deep_path_keeps_linear_memory():
+    tree = path(8000).cert
+    tracemalloc.start()
+    try:
+        canonical_form(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(n) bytes: live codes belong to disjoint subtrees.  Keeping every
+    # subtree's code alive takes O(n^2) bytes, about 31 MB here.
+    assert peak < 4_000_000
