@@ -18,6 +18,10 @@ from .modules import tree_is_prime
 
 CountKind = Literal["critical2", "minimal3"]
 
+# A table holds every row before any is printed: about 750 bytes a row in
+# the CLI, so 10^5 rows peak near 90 MB.
+COUNT_NMAX = 10**5
+
 
 def _round_nearest(num: int, den: int) -> int:
     """Nearest integer to num/den, exactly; half integers are rejected."""
@@ -127,13 +131,16 @@ def count_table(
     With verify=False only the formula column is filled; with verify=True
     every n is also counted by exhaustive enumeration over the isomorphism
     classes, so a False `agree` pinpoints a wrong formula or a wrong
-    predicate, never sampling noise.
+    predicate, never sampling noise.  n_max above COUNT_NMAX is refused
+    before any row is built.
     """
     if kind not in _PREDICATES:
         raise ValueError(f"unknown count kind {kind!r}")
     n_min, predicate, formula = _PREDICATES[kind]
     if n_max < n_min:
         raise ValueError(f"n_max must be >= {n_min} for {kind}, got {n_max}")
+    if n_max > COUNT_NMAX:
+        raise ValueError(f"n_max must be <= {COUNT_NMAX}, got {n_max}")
     if verify:
         all_tree_codes(n_max)  # refuse past the class guard before enumerating
     rows = []

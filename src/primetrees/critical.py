@@ -93,30 +93,82 @@ class ConditionReport:
         return all(c.holds for c in self.conditions)
 
 
-def _leaf_distance_condition(tree: TreeCert) -> Condition:
-    """Condition shared by both characterizations: leaf pairs at distance >= 3.
+_C1_HOLDS = Condition(1, True, None, "every two leaves at distance >= 3")
+_C2_HOLDS = Condition(2, True, None, "all members are leaves, size within floor(n/2)")
+_C3_HOLDS = Condition(
+    3, True, None,
+    "each outside leaf has a degree-2 support and exactly one member at distance 3",
+)
+_C4_HOLDS = Condition(
+    4, True, None,
+    "members with a degree-2 support keep every other leaf at distance >= 4",
+)
 
-    Both characterizations need n >= 5, where two leaves closer than 3 are
-    exactly two leaves sharing a support, so the witness is the smallest
-    such pair.
+
+class _CheckerTable:
+    """Per-tree facts of both characterization checkers, built once per tree.
+
+    `leaf_distance` is condition 1, shared by both characterizations: every
+    two leaves at distance >= 3.  Both need n >= 5, where two leaves closer
+    than 3 are exactly two leaves sharing a support, so its witness is the
+    smallest such pair.  `rows` maps each leaf, in id order, to its support,
+    the support's degree and the support's neighbors.  `partners` maps each
+    leaf whose support s has degree 2 to the leaves of s's other neighbor,
+    when there are any: the leaves at distance 3.  `pendant` maps each
+    support with exactly one leaf to that leaf.  `failures` interns the
+    failing verdicts met so far, keyed by what their witness and note depend
+    on, so a repeated failure costs a lookup; a call adds at most one per
+    condition.
     """
-    witness = tree_module_witness(tree)
-    if witness is not None:
-        a, b = witness.members
-        return Condition(1, False, witness.members, f"leaves {a} and {b} at distance 2")
-    return Condition(1, True, None, "every two leaves at distance >= 3")
+
+    # a plain slotted class: a dataclass costs about 1 ms more per import
+    __slots__ = ("leaf_distance", "rows", "partners", "pendant", "failures")
+
+    def __init__(self, tree: TreeCert):
+        adj = tree.graph.adj
+        witness = tree_module_witness(tree)
+        if witness is None:
+            self.leaf_distance = _C1_HOLDS
+        else:
+            a, b = witness.members
+            self.leaf_distance = Condition(
+                1, False, witness.members, f"leaves {a} and {b} at distance 2"
+            )
+        own = {support: tree.leaf_neighbors(support) for support in tree.supports}
+        self.rows: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        self.partners: dict[int, tuple[int, ...]] = {}
+        for x in tree.leaves:
+            support = adj[x][0]
+            nbrs = adj[support]
+            self.rows[x] = (support, len(nbrs), nbrs)
+            if len(nbrs) == 2:
+                close = own.get(_other_neighbor(tree, support, x))
+                if close:
+                    self.partners[x] = close
+        self.pendant = {support: leaves[0] for support, leaves in own.items() if len(leaves) == 1}
+        self.failures: dict[tuple, Condition] = {}
 
 
-def _validated_set(tree: TreeCert, members) -> tuple[int, ...]:
-    """The checked vertex set of a characterization, which needs n >= 5."""
-    if tree.n < 5:
-        raise GraphError("the characterization is stated for trees with >= 5 vertices")
-    chosen = vertex_set(members)
-    if not chosen:
+def _checked_members(tree: TreeCert, members) -> tuple[_CheckerTable, set[int]]:
+    """The tree's checker table, built on the first checker call, and the
+    checked vertex set of a characterization, which needs n >= 5 and a
+    nonempty set of valid ids.
+
+    Threads that race to build the table build equal tables and one of them
+    is kept, so the cache stays safe under concurrent reads.
+    """
+    table = tree._checker_table
+    if table is None:
+        if tree.n < 5:
+            raise GraphError("the characterization is stated for trees with >= 5 vertices")
+        table = tree._checker_table = _CheckerTable(tree)
+    cset = set(members)
+    if not cset:
         raise GraphError("vertex set must be nonempty")
-    for v in chosen:
-        tree.graph.check_vertex(v)
-    return chosen
+    if min(cset) < 0 or max(cset) >= tree.n:
+        for v in sorted(cset):
+            tree.graph.check_vertex(v)
+    return table, cset
 
 
 def _other_neighbor(tree: TreeCert, v: int, known: int) -> int:
@@ -134,66 +186,65 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     Distances are read off the support structure: the members at distance 3
     from a leaf are those at distance 2 from its support, and a leaf whose
     support has degree 2 sees leaves below distance 4 only at the support's
-    other neighbor.
+    other neighbor.  The per-tree facts come from the tree's checker table,
+    so past one n-slot count array a call costs O(|X| + sum of member
+    degrees + leaves).
     """
-    n = tree.n
-    adj = tree.graph.adj
-    chosen = _validated_set(tree, members)
-    cset = set(chosen)
-    leaves = set(tree.leaves)
-    conds = [_leaf_distance_condition(tree)]
+    table, cset = _checked_members(tree, members)
+    n, adj, failures = tree.n, tree.graph.adj, table.failures
 
-    non_leaf = sorted(cset - leaves)
+    non_leaf = cset.difference(table.rows)
     if non_leaf:
-        conds.append(
-            Condition(2, False, (non_leaf[0],), f"member {non_leaf[0]} is not a leaf")
+        v = min(non_leaf)
+        key = ("non-leaf member", v)
+        c2 = failures.get(key) or failures.setdefault(
+            key, Condition(2, False, (v,), f"member {v} is not a leaf")
         )
     elif len(cset) > n // 2:
-        conds.append(
-            Condition(2, False, chosen, f"set size {len(cset)} exceeds floor(n/2) = {n // 2}")
+        c2 = Condition(
+            2, False, vertex_set(cset), f"set size {len(cset)} exceeds floor(n/2) = {n // 2}"
         )
     else:
-        conds.append(Condition(2, True, None, "all members are leaves, size within floor(n/2)"))
+        c2 = _C2_HOLDS
 
-    c3 = Condition(
-        3, True, None,
-        "each outside leaf has a degree-2 support and exactly one member at distance 3",
-    )
+    c3 = _C3_HOLDS
     near = [0] * n  # near[w]: members adjacent to w
-    for xi in chosen:
+    for xi in cset:
         for w in adj[xi]:
             near[w] += 1
-    for x in sorted(leaves - cset):
-        support = tree.support_of(x)
-        support_degree = len(adj[support])
-        hits = sum(near[w] for w in adj[support]) - support_degree * (support in cset)
-        if support_degree != 2 or hits != 1:
-            c3 = Condition(
-                3, False, (x,),
-                f"leaf {x}: support degree {support_degree}, {hits} member(s) at distance 3",
-            )
-            break
-    conds.append(c3)
+    for x, (support, degree, nbrs) in table.rows.items():
+        if x in cset:
+            continue
+        if degree == 2:
+            hits = near[nbrs[0]] + near[nbrs[1]] - 2 * (support in cset)
+            if hits == 1:
+                continue
+        else:
+            hits = sum(near[w] for w in nbrs) - degree * (support in cset)
+        key = ("outside leaf", x, hits)
+        c3 = failures.get(key) or failures.setdefault(
+            key,
+            Condition(
+                3, False, (x,), f"leaf {x}: support degree {degree}, {hits} member(s) at distance 3"
+            ),
+        )
+        break
 
-    c4 = Condition(
-        4, True, None,
-        "members with a degree-2 support keep every other leaf at distance >= 4",
-    )
-    for xi in chosen:
-        if xi not in leaves:
-            continue
-        support = tree.support_of(xi)
-        if len(adj[support]) != 2:
-            continue
-        close = tree.leaf_neighbors(_other_neighbor(tree, support, xi))
-        if close:
-            c4 = Condition(
-                4, False, (xi, close[0]),
-                f"member {xi} has a degree-2 support but leaf {close[0]} is at distance 3",
-            )
-            break
-    conds.append(c4)
-    return ConditionReport(tuple(conds))
+    close = cset.intersection(table.partners)
+    if close:
+        xi = min(close)
+        y = table.partners[xi][0]
+        key = ("member with a close leaf", xi)
+        c4 = failures.get(key) or failures.setdefault(
+            key,
+            Condition(
+                4, False, (xi, y),
+                f"member {xi} has a degree-2 support but leaf {y} is at distance 3",
+            ),
+        )
+    else:
+        c4 = _C4_HOLDS
+    return ConditionReport((table.leaf_distance, c2, c3, c4))
 
 
 def unique_module_of_leaf_deletion(tree: TreeCert, leaf: int) -> ModuleWitness | None:

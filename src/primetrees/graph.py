@@ -134,6 +134,8 @@ class TreeCert:
         self.leaves = tuple(leaves)
         self.supports = vertex_set(leaf_children)
         self._leaf_children = {s: tuple(ls) for s, ls in leaf_children.items()}
+        # the characterization checkers' per-tree table, built on their first call
+        self._checker_table = None
 
     @property
     def n(self) -> int:

@@ -14,9 +14,8 @@ from itertools import combinations
 from .critical import (
     Condition,
     ConditionReport,
-    _leaf_distance_condition,
+    _checked_members,
     _other_neighbor,
-    _validated_set,
     unique_module_of_leaf_deletion,
 )
 from .graph import Graph, GraphError, TreeCert, as_tree, certify_tree, vertex_set
@@ -24,6 +23,12 @@ from .modules import tree_is_prime
 
 # Definitional minimality scans 2^(n-|X|) subsets.
 MINIMALITY_GUARD = 16
+
+_C2_HOLDS = Condition(2, True, None, "every leaf or its support is in the set")
+_C3_HOLDS = Condition(
+    3, True, None,
+    "support members without their pendant leaf have degree 2 and a member leaf at distance 2",
+)
 
 
 def prime_proper_subgraph_witness(
@@ -65,42 +70,41 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     All conditions are evaluated even after a failure.  Condition 3 speaks
     about a support's unique pendant leaf; a support with several pendant
     leaves (condition 1 already failed then) is skipped.  A degree-2
-    support's leaves at distance 2 are those of its other neighbor.
+    support's leaves at distance 2 are those of its other neighbor.  The
+    per-tree facts come from the tree's checker table, so a call costs
+    O(|X| + leaves) steps (the supports among the members are sorted).
     """
-    chosen = _validated_set(tree, members)
-    cset = set(chosen)
-    leaves = set(tree.leaves)
-    conds = [_leaf_distance_condition(tree)]
+    table, cset = _checked_members(tree, members)
+    failures = table.failures
 
-    c2 = Condition(2, True, None, "every leaf or its support is in the set")
-    for x in sorted(leaves):
-        if x not in cset and tree.support_of(x) not in cset:
-            c2 = Condition(
-                2, False, (x,), f"leaf {x} and its support {tree.support_of(x)} are both outside"
+    c2 = _C2_HOLDS
+    for x, (support, _, _) in table.rows.items():
+        if x not in cset and support not in cset:
+            key = ("uncovered leaf", x)
+            c2 = failures.get(key) or failures.setdefault(
+                key,
+                Condition(2, False, (x,), f"leaf {x} and its support {support} are both outside"),
             )
             break
-    conds.append(c2)
 
-    c3 = Condition(
-        3, True, None,
-        "support members without their pendant leaf have degree 2 and a member leaf at distance 2",
-    )
-    for xi in chosen:
-        pendant = tree.leaf_neighbors(xi)
-        if len(pendant) != 1 or pendant[0] in cset:
+    c3 = _C3_HOLDS
+    for xi in sorted(cset.intersection(table.pendant)):
+        leaf = table.pendant[xi]
+        if leaf in cset:
             continue
-        ok = tree.graph.degree(xi) == 2 and any(
-            y in cset for y in tree.leaf_neighbors(_other_neighbor(tree, xi, pendant[0]))
-        )
-        if not ok:
-            c3 = Condition(
-                3, False, (xi,),
-                f"support member {xi} (pendant leaf outside): degree "
-                f"{tree.graph.degree(xi)}, no member leaf at distance 2",
+        degree = len(tree.graph.adj[xi])
+        if degree != 2 or cset.isdisjoint(table.partners.get(leaf, ())):
+            key = ("support member", xi)
+            c3 = failures.get(key) or failures.setdefault(
+                key,
+                Condition(
+                    3, False, (xi,),
+                    f"support member {xi} (pendant leaf outside): degree "
+                    f"{degree}, no member leaf at distance 2",
+                ),
             )
             break
-    conds.append(c3)
-    return ConditionReport(tuple(conds))
+    return ConditionReport((table.leaf_distance, c2, c3))
 
 
 def _pair_deletion_is_prime(tree: TreeCert, leaf: int) -> bool:

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from primetrees.enumeration import prufer_decode
 from primetrees.graph import Graph, TreeCert, build_graph, certify_tree
+from primetrees.modules import tree_is_prime
 
 
 @st.composite
@@ -18,6 +20,26 @@ def labeled_trees(draw, min_n: int = 1, max_n: int = 9) -> TreeCert:
         return certify_tree(build_graph(2, [(0, 1)]))
     seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     return certify_tree(build_graph(n, prufer_decode(tuple(seq), n)))
+
+
+@st.composite
+def prime_trees(draw, min_n: int = 5, max_n: int = 60) -> TreeCert:
+    """Random prime tree: a random labeled tree made prime by subdividing the
+    edge to every leaf but the smallest at each support with several leaves,
+    then relabeled, so it covers shapes well beyond the corona trees."""
+    base = draw(labeled_trees(min_n=3, max_n=max_n // 2))
+    edges = base.graph.edges()
+    fresh = base.n
+    for support in base.supports:
+        for leaf in base.leaf_neighbors(support)[1:]:
+            edges.remove((min(support, leaf), max(support, leaf)))
+            edges += [(support, fresh), (fresh, leaf)]
+            fresh += 1
+    assume(fresh >= min_n)
+    perm = draw(st.permutations(range(fresh)))
+    tree = certify_tree(build_graph(fresh, [(perm[u], perm[v]) for u, v in edges]))
+    assert tree_is_prime(tree)
+    return tree
 
 
 @st.composite

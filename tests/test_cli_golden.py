@@ -122,6 +122,7 @@ def _cases() -> list[list[str]]:
         ["count", "--what", "critical2", "--nmax", "10", "--verify"],
         ["count", "--what", "critical2", "--nmax", "4"],
         ["count", "--what", "critical2", "--nmax", "19", "--verify"],
+        ["count", "--what", "critical2", "--nmax", "100001"],
         ["selftest"],
         [],
         ["bogus"],

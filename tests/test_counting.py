@@ -135,3 +135,14 @@ def test_count_table_refuses_past_the_class_guard_before_enumerating(monkeypatch
         count_table("critical2", 19)
     with pytest.raises(GraphError, match="1..18 vertices, got 30"):
         count_table("minimal3", 30)
+
+
+def test_count_table_refuses_past_its_row_cap_before_building_rows(monkeypatch):
+    def unreachable(n):
+        raise AssertionError(f"built the row for n = {n} before refusing")
+
+    monkeypatch.setitem(counting._PREDICATES, "critical2", (5, None, unreachable))
+    with pytest.raises(ValueError, match=r"^n_max must be <= 100000, got 100001$"):
+        count_table("critical2", 100_001, verify=False)
+    with pytest.raises(ValueError, match=r"^n_max must be <= 100000, got 1000000$"):
+        count_table("critical2", 10**6, verify=True)

@@ -109,10 +109,20 @@ def test_condition_4_failure():
 def test_checker_rejects_small_or_empty():
     with pytest.raises(GraphError, match=">= 5"):
         check_noncritical_set(p(4), (0,))
+    with pytest.raises(GraphError, match=">= 5"):
+        check_noncritical_set(p(4), ())  # the size check comes before the set checks
     with pytest.raises(GraphError, match="nonempty"):
         check_noncritical_set(p(5), ())
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^vertex 9 out of range 0\.\.4$"):
         check_noncritical_set(p(5), (9,))
+    with pytest.raises(GraphError, match=r"^vertex -1 out of range 0\.\.4$"):
+        check_noncritical_set(p(5), (-1, 7))  # the smallest bad id is named
+
+
+def test_checker_normalizes_members():
+    tree = p(5)
+    assert check_noncritical_set(tree, [0, 0, 4]) == check_noncritical_set(tree, (0, 4))
+    assert check_noncritical_set(tree, (v for v in (4, 0))) == check_noncritical_set(tree, (0, 4))
 
 
 def test_unique_module_after_leaf_deletion():

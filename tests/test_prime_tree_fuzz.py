@@ -1,42 +1,20 @@
 """Leaf rules, the pair rule and both checkers on random prime trees past the
-exhaustive ranges.
-
-The trees are random labeled trees made prime by subdividing the edge to
-every leaf but the smallest at each support with several leaves, then
-relabeled, so they cover shapes well beyond the corona trees.
-"""
+exhaustive ranges (the trees of `conftest.prime_trees`)."""
 
 from __future__ import annotations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import labeled_trees
+from conftest import prime_trees
 from primetrees.critical import (
     check_noncritical_set,
     noncritical_vertices,
     unique_module_of_leaf_deletion,
 )
-from primetrees.graph import as_tree, build_graph, certify_tree, vertex_set
+from primetrees.graph import as_tree, certify_tree, vertex_set
 from primetrees.minimal import _pair_deletion_is_prime, check_minimal_set
 from primetrees.modules import tree_is_prime, tree_module_witness
-
-
-@st.composite
-def prime_trees(draw, min_n: int = 5, max_n: int = 60):
-    base = draw(labeled_trees(min_n=3, max_n=max_n // 2))
-    edges = base.graph.edges()
-    fresh = base.n
-    for support in base.supports:
-        for leaf in base.leaf_neighbors(support)[1:]:
-            edges.remove((min(support, leaf), max(support, leaf)))
-            edges += [(support, fresh), (fresh, leaf)]
-            fresh += 1
-    assume(fresh >= min_n)
-    perm = draw(st.permutations(range(fresh)))
-    tree = certify_tree(build_graph(fresh, [(perm[u], perm[v]) for u, v in edges]))
-    assert tree_is_prime(tree)
-    return tree
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,16 +1,19 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
-byte encodings per enumeration and canonical codes per classification; and
-on the canonical coder's memory."""
+byte encodings per enumeration, canonical codes per classification and
+per-tree facts per characterization check; and on the canonical coder's
+memory."""
 
 from __future__ import annotations
 
 import concurrent.futures
 import tracemalloc
+from itertools import combinations
 
 from primetrees import critical, enumeration
 from primetrees.enumeration import all_tree_codes, canonical_form, labeled_tree_class_codes
 from primetrees.families import path, pkt, pmn, spider
 from primetrees.graph import build_graph, certify_tree
+from primetrees.minimal import check_minimal_set
 
 
 def test_noncritical_vertices_scans_primality_once_per_deletion(monkeypatch):
@@ -103,6 +106,27 @@ def test_classification_codes_at_most_one_candidate(monkeypatch):
     calls.clear()
     assert str(critical.classify_critical_family(certify_tree(build_graph(15, edges)))) == "Other"
     assert calls == []
+
+
+def test_checkers_build_the_per_tree_facts_once_per_tree(monkeypatch):
+    calls = []
+    witness = critical.tree_module_witness
+
+    def counted(tree):
+        calls.append(tree.n)
+        return witness(tree)
+
+    monkeypatch.setattr(critical, "tree_module_witness", counted)
+    tree = pmn(4, 1, 2).cert
+    subsets = 0
+    for size in range(1, tree.n + 1):
+        for chosen in combinations(range(tree.n), size):
+            subsets += 1
+            critical.check_noncritical_set(tree, chosen)
+            check_minimal_set(tree, chosen)
+    # condition 1 is a per-tree fact: one witness search, not one per call
+    assert subsets == 2**tree.n - 1
+    assert calls == [tree.n]
 
 
 def test_canonical_code_of_a_deep_path_keeps_linear_memory():
