@@ -27,7 +27,7 @@ from .critical import (
     classify_critical_family,
     noncritical_vertices,
 )
-from .enumeration import all_trees, canonical_form
+from .enumeration import all_tree_codes, all_trees
 from .families import FAMILY_BUILDERS, build_family
 from .graph import (
     GUARD_CAP,
@@ -374,11 +374,11 @@ def _cmd_enumerate(args) -> Outcome:
     records = [
         {
             "command": "enumerate",
-            "code": canonical_form(tree).hex(),
+            "code": code.hex(),
             "n": tree.n,
             "edges": [list(e) for e in tree.graph.edges()],
         }
-        for tree in all_trees(args.n)
+        for code, tree in zip(all_tree_codes(args.n), all_trees(args.n))
         if predicate is None or predicate(tree)
     ]
     lines = [
@@ -445,7 +445,7 @@ def _cmd_selftest(args) -> Outcome:
             "ok": result.ok,
             "detail": result.detail,
         }
-        for result in selftest_suites.run_suites(full=args.full, seed=args.seed)
+        for result in selftest_suites.run_suites(full=args.full)
     ]
     lines = [
         f"{'PASS' if rec['ok'] else 'FAIL'} {rec['suite']}: {rec['detail']}"
@@ -547,7 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", parents=[common], help="run the invariant suites")
     p.add_argument("--full", action="store_true", help="full ranges (slower)")
-    p.add_argument("--seed", type=int, default=20240901)
     return parser
 
 

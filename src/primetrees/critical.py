@@ -3,10 +3,10 @@
 A vertex x of a prime graph G is critical when G - x is decomposable.  For a
 prime tree, deleting an internal vertex always disconnects (hence
 decomposes), so only leaf deletions can stay prime.  Every support of a prime
-tree has exactly one leaf, so a local rule on the support table decides each
-leaf deletion in constant time.  A brute force over all single-vertex deletions
-is kept as the oracle for general prime graphs and for cross-checking the
-tree route.
+tree has exactly one leaf, so a local rule, derived once per tree in the leaf
+table, decides each leaf deletion in constant time.  A brute force over all
+single-vertex deletions is kept as the oracle for general prime graphs and
+for cross-checking the tree route.
 """
 
 from __future__ import annotations
@@ -42,15 +42,15 @@ def noncritical_vertices(
     """All x with G - x still prime.  Defined for prime graphs only.
 
     Trees bypass the subset-scan entirely: internal deletions disconnect,
-    and each leaf deletion is decided by the leaf-deletion rule.
+    and a leaf deletion stays prime exactly when the leaf has no partner in
+    the tree's leaf table.
     """
     tree = value if isinstance(value, TreeCert) else as_tree(value)
     if tree is not None:
         if not tree_is_prime(tree):
             raise GraphError("non-critical vertices are defined for prime graphs only")
-        return NoncriticalSet(
-            tuple(x for x in tree.leaves if unique_module_of_leaf_deletion(tree, x) is None)
-        )
+        partners = _leaf_table(tree).partners
+        return NoncriticalSet(tuple(x for x in tree.leaves if x not in partners))
     return noncritical_vertices_brute_force(value, guard)
 
 
@@ -105,20 +105,27 @@ _C4_HOLDS = Condition(
 )
 
 
-class _CheckerTable:
-    """Per-tree facts of both characterization checkers, built once per tree.
+class _LeafTable:
+    """Per-tree leaf facts, built once per tree on first use (`_leaf_table`).
 
-    `leaf_distance` is condition 1, shared by both characterizations: every
-    two leaves at distance >= 3.  Both need n >= 5, where two leaves closer
-    than 3 are exactly two leaves sharing a support, so its witness is the
+    `partners` is the leaf-deletion rule: it maps each leaf x whose support s
+    has degree 2 to the leaves of s's other neighbor w, when there are any
+    (the leaves at distance 3).  In a prime tree only s can change role when
+    x is deleted: s becomes a leaf exactly when deg(s) = 2, and then it
+    shares w with w's own leaf exactly when w is a support.  So T - x is
+    prime exactly when x has no partner, and otherwise its one nontrivial
+    module is {s, x's partner}; on the 4-vertex path both leaves have one.
+    σ, the module rule, extraction and both checkers read this map.
+
+    `leaf_distance` is condition 1 of both characterizations: every two
+    leaves at distance >= 3.  Both need n >= 5, where two leaves closer than
+    3 are exactly two leaves sharing a support, so its witness is the
     smallest such pair.  `rows` maps each leaf, in id order, to its support,
-    the support's degree and the support's neighbors.  `partners` maps each
-    leaf whose support s has degree 2 to the leaves of s's other neighbor,
-    when there are any: the leaves at distance 3.  `pendant` maps each
+    the support's degree and the support's neighbors.  `pendant` maps each
     support with exactly one leaf to that leaf.  `failures` interns the
-    failing verdicts met so far, keyed by what their witness and note depend
-    on, so a repeated failure costs a lookup; a call adds at most one per
-    condition.
+    checkers' failing verdicts met so far, keyed by what their witness and
+    note depend on, so a repeated failure costs a lookup; a call adds at
+    most one per condition.
     """
 
     # a plain slotted class: a dataclass costs about 1 ms more per import
@@ -149,26 +156,30 @@ class _CheckerTable:
         self.failures: dict[tuple, Condition] = {}
 
 
-def _checked_members(tree: TreeCert, members) -> tuple[_CheckerTable, set[int]]:
-    """The tree's checker table, built on the first checker call, and the
-    checked vertex set of a characterization, which needs n >= 5 and a
-    nonempty set of valid ids.
+def _leaf_table(tree: TreeCert) -> _LeafTable:
+    """The tree's leaf table, built on first use and cached on the tree.
 
-    Threads that race to build the table build equal tables and one of them
-    is kept, so the cache stays safe under concurrent reads.
+    Threads that race to build it build equal tables and one of them is
+    kept, so the cache stays safe under concurrent reads.
     """
-    table = tree._checker_table
+    table = tree._leaf_table
     if table is None:
-        if tree.n < 5:
-            raise GraphError("the characterization is stated for trees with >= 5 vertices")
-        table = tree._checker_table = _CheckerTable(tree)
+        table = tree._leaf_table = _LeafTable(tree)
+    return table
+
+
+def _checked_members(tree: TreeCert, members) -> tuple[_LeafTable, set[int]]:
+    """The tree's leaf table and the checked vertex set of a
+    characterization, which needs n >= 5 and a nonempty set of valid ids."""
+    if tree.n < 5:
+        raise GraphError("the characterization is stated for trees with >= 5 vertices")
     cset = set(members)
     if not cset:
         raise GraphError("vertex set must be nonempty")
     if min(cset) < 0 or max(cset) >= tree.n:
         for v in sorted(cset):
             tree.graph.check_vertex(v)
-    return table, cset
+    return _leaf_table(tree), cset
 
 
 def _other_neighbor(tree: TreeCert, v: int, known: int) -> int:
@@ -186,9 +197,9 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     Distances are read off the support structure: the members at distance 3
     from a leaf are those at distance 2 from its support, and a leaf whose
     support has degree 2 sees leaves below distance 4 only at the support's
-    other neighbor.  The per-tree facts come from the tree's checker table,
-    so past one n-slot count array a call costs O(|X| + sum of member
-    degrees + leaves).
+    other neighbor.  The per-tree facts come from the tree's leaf table, so
+    past one n-slot count array a call costs O(|X| + sum of member degrees +
+    leaves).
     """
     table, cset = _checked_members(tree, members)
     n, adj, failures = tree.n, tree.graph.adj, table.failures
@@ -248,24 +259,15 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
 
 
 def unique_module_of_leaf_deletion(tree: TreeCert, leaf: int) -> ModuleWitness | None:
-    """The single nontrivial module left by deleting a leaf of a prime tree.
-
-    Returns None when the deletion stays prime.  Only the support s of the
-    deleted leaf can change role: it becomes a leaf exactly when deg(s) = 2,
-    and then it shares its other neighbor w with w's own leaf exactly when w
-    is a support.  So the remainder decomposes exactly when deg(s) = 2 and w
-    is a support, and its one nontrivial module is {s, the leaf of w}.  On
-    the 4-vertex path this holds for both leaves.
+    """The single nontrivial module left by deleting a leaf of a prime tree:
+    {the leaf's support, the leaf's partner} (see `_LeafTable`), or None when
+    the deletion stays prime.
     """
     if not tree_is_prime(tree):
         raise GraphError("input must be a prime tree")
     support = tree.support_of(leaf)
-    if tree.graph.degree(support) != 2:
-        return None
-    partner = tree.leaf_neighbors(_other_neighbor(tree, support, leaf))
-    if not partner:
-        return None
-    return ModuleWitness(vertex_set((support, partner[0])))
+    partner = _leaf_table(tree).partners.get(leaf)
+    return None if partner is None else ModuleWitness(vertex_set((support, partner[0])))
 
 
 # ---------------------------------------------------------------------------

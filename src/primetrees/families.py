@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 from .graph import GraphError, TreeCert, build_graph, certify_tree
 
+# Largest member a constructor builds.  A member takes about 0.7 KB per
+# vertex, so the cap keeps one near 700 MB; each constructor refuses a
+# larger one from its parameters, before building anything.
+FAMILY_NMAX = 10**6
+
 
 @dataclass(frozen=True)
 class FamilyTree:
@@ -26,6 +31,13 @@ class FamilyTree:
     @property
     def id_to_label(self) -> dict[int, str]:
         return {v: k for k, v in self.labels.items()}
+
+
+def _check_size(tag: str, n: int) -> None:
+    if n > FAMILY_NMAX:
+        raise GraphError(
+            f"family {tag} member on {n} vertices is above the size cap {FAMILY_NMAX}"
+        )
 
 
 def _from_labeled_edges(
@@ -43,6 +55,7 @@ def path(n: int) -> FamilyTree:
     """The path on labels 1..n; prime exactly when n >= 4."""
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
+    _check_size("path", n)
     order = [str(i) for i in range(1, n + 1)]
     edges = [(str(i), str(i + 1)) for i in range(1, n)]
     return _from_labeled_edges("path", (n,), order, edges)
@@ -56,6 +69,7 @@ def spider(m: int) -> FamilyTree:
     """
     if m < 2:
         raise GraphError(f"spider needs m >= 2 legs, got {m}")
+    _check_size("A", 2 * m + 1)
     order = [str(i) for i in range(2 * m + 1)]
     edges = []
     for i in range(1, m + 1):
@@ -73,6 +87,7 @@ def pkt(k: int, t: int) -> FamilyTree:
     if k < 4 or t < 1:
         raise GraphError(f"pkt needs k >= 4 and t >= 1, got k={k}, t={t}")
     n = 2 * t + k
+    _check_size("Pkt", n)
     order = [str(i) for i in range(1, n + 1)]
     edges = [(str(2 * t + i), str(2 * t + i + 1)) for i in range(1, k)]
     for i in range(1, t + 1):
@@ -91,6 +106,7 @@ def pmn(m: int, n1: int, n2: int) -> FamilyTree:
         raise GraphError(f"pmn needs m >= 4, n1 >= 1, n2 >= 1, got ({m}, {n1}, {n2})")
     s = n1 + n2
     n = 2 * s + m
+    _check_size("Pmn", n)
     order = [str(i) for i in range(1, n + 1)]
     edges = [(str(2 * s + i), str(2 * s + i + 1)) for i in range(1, m)]
     for i in range(1, s + 1):
@@ -110,6 +126,7 @@ def skmn(k: int, m: int, n: int) -> FamilyTree:
     """
     if not 1 <= k <= m <= n:
         raise GraphError(f"skmn needs 1 <= k <= m <= n, got ({k}, {m}, {n})")
+    _check_size("Skmn", 1 + k + m + n)
     order = ["r"]
     edges: list[tuple[str, str]] = []
     for prefix, length in (("a", k), ("b", m), ("c", n)):

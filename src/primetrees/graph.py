@@ -134,8 +134,8 @@ class TreeCert:
         self.leaves = tuple(leaves)
         self.supports = vertex_set(leaf_children)
         self._leaf_children = {s: tuple(ls) for s, ls in leaf_children.items()}
-        # the characterization checkers' per-tree table, built on their first call
-        self._checker_table = None
+        # the per-tree leaf table of the prime-tree kernels, built on first use
+        self._leaf_table = None
 
     @property
     def n(self) -> int:

@@ -11,14 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .critical import (
-    Condition,
-    ConditionReport,
-    _checked_members,
-    _other_neighbor,
-    unique_module_of_leaf_deletion,
-)
-from .graph import Graph, GraphError, TreeCert, as_tree, certify_tree, vertex_set
+from .critical import Condition, ConditionReport, _checked_members, _leaf_table, _other_neighbor
+from .graph import GraphError, TreeCert, as_tree, certify_tree, vertex_set
 from .modules import tree_is_prime
 
 # Definitional minimality scans 2^(n-|X|) subsets.
@@ -69,10 +63,12 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
 
     All conditions are evaluated even after a failure.  Condition 3 speaks
     about a support's unique pendant leaf; a support with several pendant
-    leaves (condition 1 already failed then) is skipped.  A degree-2
-    support's leaves at distance 2 are those of its other neighbor.  The
-    per-tree facts come from the tree's checker table, so a call costs
-    O(|X| + leaves) steps (the supports among the members are sorted).
+    leaves (condition 1 already failed then) is skipped.  A support member
+    whose pendant leaf is outside needs degree 2 and a member among that
+    leaf's partners, the leaves at distance 2 from the support; only leaves
+    of degree-2 supports have partners.  The per-tree facts come from the
+    tree's leaf table, so a call costs O(|X| + leaves) steps (the supports
+    among the members are sorted).
     """
     table, cset = _checked_members(tree, members)
     failures = table.failures
@@ -90,20 +86,18 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     c3 = _C3_HOLDS
     for xi in sorted(cset.intersection(table.pendant)):
         leaf = table.pendant[xi]
-        if leaf in cset:
+        if leaf in cset or not cset.isdisjoint(table.partners.get(leaf, ())):
             continue
-        degree = len(tree.graph.adj[xi])
-        if degree != 2 or cset.isdisjoint(table.partners.get(leaf, ())):
-            key = ("support member", xi)
-            c3 = failures.get(key) or failures.setdefault(
-                key,
-                Condition(
-                    3, False, (xi,),
-                    f"support member {xi} (pendant leaf outside): degree "
-                    f"{degree}, no member leaf at distance 2",
-                ),
-            )
-            break
+        key = ("support member", xi)
+        c3 = failures.get(key) or failures.setdefault(
+            key,
+            Condition(
+                3, False, (xi,),
+                f"support member {xi} (pendant leaf outside): degree "
+                f"{table.rows[leaf][1]}, no member leaf at distance 2",
+            ),
+        )
+        break
     return ConditionReport((table.leaf_distance, c2, c3))
 
 
@@ -117,33 +111,35 @@ def _pair_deletion_is_prime(tree: TreeCert, leaf: int) -> bool:
     and the remainder is then prime exactly when w's other neighbor is not
     already a support.
     """
-    support = tree.support_of(leaf)
-    if tree.n < 6 or tree.graph.degree(support) != 2:
+    support, degree, _ = _leaf_table(tree).rows[leaf]
+    if tree.n < 6 or degree != 2:
         return False
     w = _other_neighbor(tree, support, leaf)
     return tree.graph.degree(w) >= 3 or not tree.leaf_neighbors(_other_neighbor(tree, w, support))
 
 
-def _find_deletion(graph: Graph, keep: set[int], pinned: set[int]) -> set[int] | None:
-    """One legal shrink step: a single vertex, else a leaf-support pair.
+def _find_deletion(
+    cert: TreeCert, idmap: tuple[int, ...], pinned: set[int]
+) -> tuple[int, ...] | None:
+    """One legal shrink step of the prime tree `cert`, whose vertex i is
+    vertex idmap[i] of the input: a single vertex, else a leaf-support pair,
+    in cert's ids.
 
     A step removes vertices outside the pinned set and leaves a prime tree.
     Deleting an internal vertex disconnects, so the single-vertex step takes
-    the first unpinned leaf that the leaf-deletion rule lets go.  Single
+    the first unpinned leaf without a partner in the leaf table.  Single
     deletions alone can stall before minimality (a pendant 2-path can be
     removable only as a whole), so leaf-support pairs that the pair rule
     lets go back them up.  Leaves are scanned in increasing id order.
     """
-    current, idmap = graph.induced_subgraph(keep)
-    cert = certify_tree(current)
+    partners = _leaf_table(cert).partners
     for leaf in cert.leaves:
-        if idmap[leaf] not in pinned and unique_module_of_leaf_deletion(cert, leaf) is None:
-            return {idmap[leaf]}
+        if idmap[leaf] not in pinned and leaf not in partners:
+            return (leaf,)
     for leaf in cert.leaves:
-        y = idmap[leaf]
-        support = idmap[cert.support_of(leaf)]
-        if y not in pinned and support not in pinned and _pair_deletion_is_prime(cert, leaf):
-            return {y, support}
+        pair = (leaf, cert.support_of(leaf))
+        if pinned.isdisjoint(idmap[v] for v in pair) and _pair_deletion_is_prime(cert, leaf):
+            return pair
     return None
 
 
@@ -153,23 +149,20 @@ def extract_minimal_subtree(tree: TreeCert, members) -> tuple[TreeCert, tuple[in
     Returns the subtree plus the id remap (new id -> id in the input tree).
     The result contains the set, is prime, and passes the minimality
     conditions (or is the 4-vertex path, which is minimal for everything).
+    Each step certifies the current subtree once; the last one's leaf table
+    also answers the closing self-check.
     """
     if not tree_is_prime(tree):
         raise GraphError("extraction needs a prime tree")
     pinned = set(vertex_set(members))
     for v in pinned:
         tree.graph.check_vertex(v)
-    keep = set(range(tree.n))
-    while True:
-        step = _find_deletion(tree.graph, keep, pinned)
-        if step is None:
-            break
-        keep -= step
-    sub, idmap = tree.graph.induced_subgraph(keep)
-    cert = certify_tree(sub)
+    cert, idmap = tree, tuple(range(tree.n))
+    while (step := _find_deletion(cert, idmap, pinned)) is not None:
+        remainder, kept = cert.graph.without(step)
+        cert, idmap = certify_tree(remainder), tuple(idmap[v] for v in kept)
     if cert.n > 4:
-        back = {orig: new for new, orig in enumerate(idmap)}
-        inner = vertex_set(back[x] for x in pinned)
+        inner = [new for new, orig in enumerate(idmap) if orig in pinned]
         if not inner or not check_minimal_set(cert, inner).overall:
             raise RuntimeError("extraction stopped at a non-minimal subtree")
     return cert, idmap

@@ -68,6 +68,8 @@ def _cases() -> list[list[str]]:
         _gen_argv(["path", "0"]),
         _gen_argv(["Q", "1"]),
         _gen_argv(["path", "1", "2"]),
+        _gen_argv(["path", "1000001"]),
+        _gen_argv(["A", "500000"]),
     ]
     for name in FILES:
         cases += [["prime", name], ["sigma", name], ["classify-critical", name]]

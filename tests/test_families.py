@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from primetrees import families
 from primetrees.critical import noncritical_vertices
 from primetrees.enumeration import canonical_form
-from primetrees.families import build_family, path, pkt, pmn, skmn, spider
+from primetrees.families import FAMILY_NMAX, build_family, path, pkt, pmn, skmn, spider
 from primetrees.graph import GraphError
 from primetrees.modules import tree_is_prime
 from primetrees.selftest import family_sigma_exceptions
@@ -106,3 +107,27 @@ def test_build_family_dispatch():
         build_family("Q", [1])
     with pytest.raises(GraphError, match="parameter"):
         build_family("Pkt", [4])
+
+
+@pytest.mark.parametrize(
+    "tag, params",
+    [  # each one vertex past the cap
+        ("path", [FAMILY_NMAX + 1]),
+        ("A", [FAMILY_NMAX // 2]),
+        ("Pkt", [FAMILY_NMAX - 1, 1]),
+        ("Pmn", [FAMILY_NMAX - 3, 1, 1]),
+        ("Skmn", [1, 1, FAMILY_NMAX - 2]),
+    ],
+)
+def test_family_size_cap_refuses_before_building(monkeypatch, tag, params):
+    def unreachable(*args):
+        raise AssertionError("build_graph reached above the family cap")
+
+    monkeypatch.setattr(families, "build_graph", unreachable)
+    n = FAMILY_NMAX + 1
+    message = f"family {tag} member on {n} vertices is above the size cap {FAMILY_NMAX}"
+    with pytest.raises(GraphError, match=message):
+        build_family(tag, params)
+    # parameter checks still come first
+    with pytest.raises(GraphError, match="needs"):
+        build_family(tag, [0] * len(params))

@@ -1,7 +1,7 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
-byte encodings per enumeration, canonical codes per classification and
-per-tree facts per characterization check; and on the canonical coder's
-memory."""
+byte encodings per enumeration, canonical codes per classification,
+per-tree facts per characterization check and certificates per extraction
+step; and on the canonical coder's memory."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ import concurrent.futures
 import tracemalloc
 from itertools import combinations
 
-from primetrees import critical, enumeration
+from primetrees import critical, enumeration, minimal
+from primetrees.cli import run
 from primetrees.enumeration import all_tree_codes, canonical_form, labeled_tree_class_codes
 from primetrees.families import path, pkt, pmn, spider
 from primetrees.graph import build_graph, certify_tree
-from primetrees.minimal import check_minimal_set
+from primetrees.minimal import check_minimal_set, extract_minimal_subtree
 
 
 def test_noncritical_vertices_scans_primality_once_per_deletion(monkeypatch):
@@ -84,6 +85,14 @@ def test_labeled_sweep_encodes_one_tree_per_class(monkeypatch):
     assert calls == [7] * 11
 
 
+def test_enumerate_command_prints_the_codes_it_decoded(monkeypatch):
+    all_tree_codes(10)  # warm: the class list itself is encoded once per class
+    calls = _count_encodings(monkeypatch)
+    assert run(["enumerate", "--n", "10"]).exit_code == 0
+    # 106 classes, each printed with the code it was decoded from
+    assert calls == []
+
+
 def test_classification_codes_at_most_one_candidate(monkeypatch):
     calls = []
     code = critical.canonical_form
@@ -127,6 +136,22 @@ def test_checkers_build_the_per_tree_facts_once_per_tree(monkeypatch):
     # condition 1 is a per-tree fact: one witness search, not one per call
     assert subsets == 2**tree.n - 1
     assert calls == [tree.n]
+
+
+def test_extraction_certifies_one_subtree_per_applied_step(monkeypatch):
+    calls = []
+    certify = minimal.certify_tree
+
+    def counted(graph):
+        calls.append(graph.n)
+        return certify(graph)
+
+    monkeypatch.setattr(minimal, "certify_tree", counted)
+    sub, idmap = extract_minimal_subtree(path(40).cert, (0, 20))
+    # 19 single deletions from the far end, none of the input itself or of
+    # the result again
+    assert idmap == tuple(range(21))
+    assert calls == list(range(39, 20, -1))
 
 
 def test_canonical_code_of_a_deep_path_keeps_linear_memory():
