@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import selftest as selftest_suites
 from .counting import count_table, is_3_minimal, is_minus2_critical
@@ -474,12 +475,24 @@ class _UsageError(Exception):
     """A command line argparse rejects: its usage text and its message."""
 
 
+class _HelpRequested(Exception):
+    """`--help`: the help text argparse would print."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError where argparse would print and exit, so that `run`
-    can report the error in the requested format; subparsers inherit this."""
+    """Raises _UsageError or _HelpRequested where argparse would print and
+    exit, so that `run` can report either in the requested format;
+    subparsers inherit this."""
+
+    def __init__(self, **kwargs):
+        # argparse's width off a terminal, so help bytes never depend on one
+        super().__init__(formatter_class=partial(argparse.HelpFormatter, width=78), **kwargs)
 
     def error(self, message: str):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n", message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _format_parser() -> _Parser:
@@ -567,8 +580,9 @@ def run(argv: list[str]) -> Report:
     """Parse and execute; never raises for bad input, returns exit code 2."""
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit:  # --help printed the help text
-        return Report()
+    except _HelpRequested as exc:
+        (text,) = exc.args
+        return Report(0, text.splitlines(), [{"help": text}], _requested_format(argv))
     except _UsageError as exc:
         usage, message = exc.args
         sys.stderr.write(usage)

@@ -11,10 +11,10 @@ Unlabeled generation is the free-tree generator of Wright, Richmond, Odlyzko
 and McKay (SIAM J. Comput. 15(2), 1986): it walks centre-rooted level
 sequences and yields exactly one per free tree, so each class is encoded
 once.  The independent oracle decodes all n^(n-2) labeled trees from their
-sequences; it names every rooted subtree by interning its sorted tuple of
-child names to a small int (Aho, Hopcroft and Ullman 1974), keys each tree
-by the name of its centroid-rooted form, and encodes to bytes only one
-representative per key.
+sequences, naming each subtree while decoding (its sorted tuple of child
+names interned to a small int; Aho, Hopcroft and Ullman 1974).  It keys each
+tree by its name rooted at n-1, re-roots at the centroid once per rooted
+key, and encodes to bytes once per class.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .graph import GraphError, TreeCert, build_graph, certify_tree
 
 CLASS_GUARD = 18
 LABELED_GUARD = 9
+_Names = dict[tuple[int, ...], int]  # AHU names: sorted child-name tuple -> int
 
 
 # ---------------------------------------------------------------------------
@@ -214,39 +215,38 @@ def all_trees(n: int) -> Iterator[TreeCert]:
 # labeled trees (independent oracle)
 
 
-def _prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
-    """Parent array and children-first order of the labeled tree on 0..n-1
-    with the given sequence, rooted at n-1 (whose parent is -1).
+def _prufer_parents(
+    seq: tuple[int, ...], n: int, names: _Names
+) -> tuple[list[int], list[int], int]:
+    """Parent array, children-first order and name of the labeled tree on
+    0..n-1 with the given sequence, rooted at n-1 (whose parent is -1).
 
-    Each step removes the smallest leaf and joins it to the next entry, which
-    is therefore its parent; `order` lists the vertices as they are removed,
-    then n-1, so every vertex comes after all of its children.
+    Each step removes the smallest leaf and joins it to the next entry (n-1
+    after the last), its parent.  The leaf's subtree is then final, so its
+    name, its sorted tuple of child names interned in `names`, joins its
+    parent's list.  `order` lists the vertices as removed, then n-1.
     Unchecked: the sequence must have length n-2 >= 0 and entries in 0..n-1.
     """
-    degree = [1] * n
+    degree = [1] * n + [1]  # the slot past n-1 stops the last step's scan
     for x in seq:
         degree[x] += 1
     parent = [-1] * n
     order: list[int] = []
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for x in seq:
+    kids: list[list[int]] = [[] for _ in range(n)]
+    leaf = ptr = degree.index(1)
+    for x in (*seq, n - 1):
         parent[leaf] = x
         order.append(leaf)
+        k = kids[leaf]
+        k.sort()
+        kids[x].append(names.setdefault(tuple(k), len(names)))
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
         else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    parent[leaf] = n - 1
-    order.append(leaf)
+            leaf = ptr = degree.index(1, ptr + 1)
     order.append(n - 1)
-    return parent, order
+    return parent, order, names.setdefault(tuple(sorted(kids[n - 1])), len(names))
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -259,68 +259,68 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     for x in seq:
         if not 0 <= x < n:
             raise GraphError(f"sequence entry {x} out of range")
-    parent, _ = _prufer_parents(seq, n)
+    parent, _, _ = _prufer_parents(seq, n, {(): 0})
     return sorted((min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0)
 
 
-def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
-    """Canonical codes of all labeled trees whose sequence starts with `prefix`.
+def _centroid_key(parent: list[int], order: list[int], names: _Names) -> int | tuple[int, int]:
+    """Name of the centroid-rooted tree, or the sorted pair of half-tree names
+    of a bicentroidal one, so equal keys mean isomorphic trees.  The centroid
+    is found by the rule in `_canonical_from_adj`; only the path from the
+    (upper) centroid to the old root n-1 is renamed."""
+    n = len(parent)
+    kids: list[list[int]] = [[] for _ in range(n)]
+    size = [1] * n
+    name = [0] * n
+    low = -1
+    for v in order:
+        k = kids[v]
+        if k:
+            k.sort()
+            name[v] = names.setdefault(tuple(k), len(names))
+        if low < 0 and 2 * size[v] >= n:
+            low = v
+        p = parent[v]
+        if p >= 0:
+            kids[p].append(name[v])
+            size[p] += size[v]
+    cent = low if 2 * size[low] > n else parent[low]
+    # (vertex, old child dropped from its children) from cent up to n-1
+    path = [(cent, low if cent != low else -1)]
+    while path[-1][0] != n - 1:
+        u = path[-1][0]
+        path.append((parent[u], u))
+    up = -1  # name of the part above the vertex being renamed
+    for u, below in reversed(path):
+        k = kids[u][:]
+        if below >= 0:
+            k.remove(name[below])
+        if up >= 0:
+            k.append(up)
+        k.sort()
+        up = names.setdefault(tuple(k), len(names))
+    return up if cent == low else (min(up, name[low]), max(up, name[low]))
 
-    One pass over the children-first order names every subtree rooted at n-1
-    (a leaf is 0; an inner vertex is its sorted tuple of child names, interned
-    to a small int) and finds the centroid by the rule in
-    `_canonical_from_adj`.  Only the path from the (upper) centroid to n-1 is
-    renamed for the new root.  The key is the name of the centroid-rooted
-    tree, or the sorted pair of half-tree names of a bicentroidal one, so
-    equal keys mean isomorphic trees; one representative per key is encoded
-    to bytes.
-    """
+
+def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
+    """Canonical codes of all labeled trees whose sequence starts with `prefix`:
+    the first tree of each rooted name is re-rooted at its centroid, and one
+    representative per centroid key is encoded to bytes."""
     n, prefix = task
-    root = n - 1
-    names: dict[tuple[int, ...], int] = {(): 0}
+    names: _Names = {(): 0}
+    rooted_seen: set[int] = set()
     reps: dict[int | tuple[int, int], list[int]] = {}
     for tail in product(range(n), repeat=(n - 2) - len(prefix)):
-        parent, order = _prufer_parents(prefix + tail, n)
-        kids: list[list[int]] = [[] for _ in range(n)]
-        size = [1] * n
-        name = [0] * n
-        low = -1
-        for v in order:
-            k = kids[v]
-            if k:
-                k.sort()
-                name[v] = names.setdefault(tuple(k), len(names))
-            if low < 0 and 2 * size[v] >= n:
-                low = v
-            p = parent[v]
-            if p >= 0:
-                kids[p].append(name[v])
-                size[p] += size[v]
-        cent = low if 2 * size[low] > n else parent[low]
-        # (vertex, old child dropped from its children) from cent up to n-1
-        path = [(cent, low if cent != low else -1)]
-        while path[-1][0] != root:
-            u = path[-1][0]
-            path.append((parent[u], u))
-        up = -1  # name of the part above the vertex being renamed
-        for u, below in reversed(path):
-            k = kids[u][:]
-            if below >= 0:
-                k.remove(name[below])
-            if up >= 0:
-                k.append(up)
-            k.sort()
-            up = names.setdefault(tuple(k), len(names))
-        key = up if cent == low else (min(up, name[low]), max(up, name[low]))
-        if key not in reps:
-            reps[key] = parent
+        parent, order, rooted = _prufer_parents(prefix + tail, n, names)
+        if rooted not in rooted_seen:
+            rooted_seen.add(rooted)
+            reps.setdefault(_centroid_key(parent, order, names), parent)
     codes: set[bytes] = set()
     for parent in reps.values():
         adj: list[list[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(parent):
-            if p >= 0:
-                adj[v].append(p)
-                adj[p].append(v)
+        for v in range(n - 1):
+            adj[v].append(parent[v])
+            adj[parent[v]].append(v)
         codes.add(_canonical_from_adj(adj))
     return frozenset(codes)
 

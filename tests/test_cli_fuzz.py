@@ -2,8 +2,9 @@
 lines for `cli.run` over every subcommand but `selftest`.
 
 The parser must return a graph or raise GraphError.  A command must end with
-exit status 0, 1 or 2 and let no exception escape, render the same bytes
-when run again, and in records mode print one JSON object per line.
+exit status 0, 1 or 2 and let no exception escape, write nothing to stdout
+itself, render the same bytes when run again, and in records mode print one
+JSON object per line.
 
 Sizes are drawn so that no run starts a scan of more than 2^12 subsets:
 drawn headers are <= 12 or > 24 (every guard is below 25), `--guard` is
@@ -12,6 +13,8 @@ drawn headers are <= 12 or > 24 (every guard is below 25), `--guard` is
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -196,10 +199,13 @@ def directory(tmp_path_factory) -> Path:
 def test_cli_exits_cleanly_and_deterministically(directory, argv, drawn):
     (directory / "drawn.txt").write_text(drawn)
     argv = [str(directory / word) if word in FILES else word for word in argv]
-    first = run(argv)
+    with contextlib.redirect_stdout(io.StringIO()) as leaked:
+        first = run(argv)
+        again = run(argv)
+    # everything `main` prints comes from the report, `--help` text included
+    assert leaked.getvalue() == "", argv
     assert first.exit_code in (0, 1, 2), argv
     out = render(first)
-    again = run(argv)
     assert (again.exit_code, render(again)) == (first.exit_code, out), argv
     if first.format == "records":
         for line in out.splitlines():

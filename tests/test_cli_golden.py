@@ -127,6 +127,8 @@ def _cases() -> list[list[str]]:
         ["count", "--what", "critical2", "--nmax", "100001"],
         ["selftest"],
         [],
+        ["--help"],
+        ["sigma", "--help"],
         ["bogus"],
         ["prime"],
         ["gen", "--family", "path"],

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import labeled_trees
 from primetrees.enumeration import (
+    _prufer_parents,
+    _rooted_code,
     all_tree_codes,
     all_trees,
     canonical_form,
@@ -164,6 +167,40 @@ def test_prufer_decode_is_a_tree():
         edges = prufer_decode(seq, 4)
         cert = certify_tree(build_graph(4, edges))
         assert cert.n == 4
+
+
+def test_prufer_decode_edges_are_pinned():
+    # the decoder's edges, pinned byte for byte over random sequences
+    rng = random.Random(20260101)
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        n = rng.randint(2, 30)
+        seq = tuple(rng.randrange(n) for _ in range(n - 2))
+        digest.update(repr(prufer_decode(seq, n)).encode() + b"\n")
+    expected = "6f02584a5cecf122f8130819a4de46948c13ebbb6c807608ecfc05ab3b3deacb"
+    assert digest.hexdigest() == expected
+
+
+def test_decoder_names_rooted_trees_as_the_byte_coder_does():
+    # one name table for every sequence with 2 <= n <= 7: equal names <=>
+    # equal AHU codes of the tree rooted at n-1
+    names = {(): 0}
+    code_of, name_of = {}, {}
+    for n in range(2, 8):
+        for seq in product(range(n), repeat=n - 2):
+            parent, order, rooted = _prufer_parents(seq, n, names)
+            place = {v: i for i, v in enumerate(order)}
+            assert sorted(order) == list(range(n)) and order[-1] == n - 1
+            assert all(place[v] < place[p] for v, p in enumerate(parent) if p >= 0)
+            adj = [[] for _ in range(n)]
+            for v in range(n - 1):
+                adj[v].append(parent[v])
+                adj[parent[v]].append(v)
+            code = _rooted_code(adj, n - 1)
+            assert code_of.setdefault(rooted, code) == code, seq
+            assert name_of.setdefault(code, rooted) == rooted, seq
+    # rooted trees on 2..7 vertices (OEIS A000081)
+    assert len(code_of) == 1 + 2 + 4 + 9 + 20 + 48
 
 
 def test_prufer_decode_rejections():

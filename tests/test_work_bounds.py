@@ -1,7 +1,8 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
-byte encodings per enumeration, canonical codes per classification,
-per-tree facts per characterization check and certificates per extraction
-step; and on the canonical coder's memory."""
+byte encodings per enumeration, decodings and centroid steps per labeled
+sweep, canonical codes per classification, per-tree facts per
+characterization check and certificates per extraction step; and on the
+canonical coder's memory."""
 
 from __future__ import annotations
 
@@ -83,6 +84,28 @@ def test_labeled_sweep_encodes_one_tree_per_class(monkeypatch):
     # 11 classes on 7 vertices, not one encoding per each of the 7^5 sequences
     assert labeled_tree_class_codes(7, jobs=1) == expected
     assert calls == [7] * 11
+
+
+def test_labeled_sweep_reroots_once_per_rooted_class(monkeypatch):
+    expected = frozenset(all_tree_codes(7))
+    decoded, rerooted = [], []
+    decode, reroot = enumeration._prufer_parents, enumeration._centroid_key
+
+    def counted_decode(seq, n, names):
+        decoded.append(n)
+        return decode(seq, n, names)
+
+    def counted_reroot(parent, order, names):
+        rerooted.append(len(parent))
+        return reroot(parent, order, names)
+
+    monkeypatch.setattr(enumeration, "_prufer_parents", counted_decode)
+    monkeypatch.setattr(enumeration, "_centroid_key", counted_reroot)
+    assert labeled_tree_class_codes(7, jobs=1) == expected
+    # every one of the 7^5 sequences is decoded once, but the centroid step
+    # runs at most once per rooted tree on 7 vertices (48, OEIS A000081)
+    assert decoded == [7] * 7**5
+    assert len(rerooted) <= 48
 
 
 def test_enumerate_command_prints_the_codes_it_decoded(monkeypatch):
