@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
 
-from . import selftest as selftest_suites
-from .counting import count_table, is_3_minimal, is_minus2_critical
+from .counting import _PREDICATES, count_table
 from .critical import (
     ConditionReport,
     check_noncritical_set,
@@ -428,7 +428,7 @@ def _cmd_count(args) -> Outcome:
         lines.append("all rows agree")
         return 0, records, lines
     lines.append("DISAGREEMENT; witness trees follow")
-    predicate = is_minus2_critical if args.what == "critical2" else is_3_minimal
+    _, predicate, _ = _PREDICATES[args.what]
     for row in table.disagreements():
         for tree in all_trees(row.n):
             if predicate(tree):
@@ -439,6 +439,8 @@ def _cmd_count(args) -> Outcome:
 
 
 def _cmd_selftest(args) -> Outcome:
+    from .selftest import run_suites  # only this command loads the sweeps
+
     records = [
         {
             "command": "selftest",
@@ -446,7 +448,7 @@ def _cmd_selftest(args) -> Outcome:
             "ok": result.ok,
             "detail": result.detail,
         }
-        for result in selftest_suites.run_suites(full=args.full)
+        for result in run_suites(full=args.full)
     ]
     lines = [
         f"{'PASS' if rec['ok'] else 'FAIL'} {rec['suite']}: {rec['detail']}"
@@ -609,7 +611,17 @@ def render(report: Report) -> str:
 
 def main() -> None:
     report = run(sys.argv[1:])
-    sys.stdout.write(render(report))
+    try:
+        sys.stdout.write(render(report))
+        sys.stdout.flush()
+    except OSError as exc:
+        # Whatever is still buffered goes to devnull, so the interpreter's
+        # final flush of stdout cannot fail and print a second report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):  # the reader closed the pipe
+            sys.exit(1)
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        sys.exit(2)
     sys.exit(report.exit_code)
 
 

@@ -1,4 +1,5 @@
-"""Invariant sweeps shared by the CLI `selftest` and the acceptance tests.
+"""Invariant sweeps shared by the CLI `selftest` and the acceptance tests,
+and PLAN, the one table of the ranges they run over.
 
 Each sweep returns a list of human-readable exceptions; an empty list means
 the invariant held everywhere in the swept range.  The sweeps deliberately
@@ -49,7 +50,7 @@ def _prime_trees(n: int):
 # oracle sweeps
 
 
-def primality_oracle_exceptions(n_max: int = 9) -> list[str]:
+def primality_oracle_exceptions(n_max: int) -> list[str]:
     """Tree criterion vs subset-scan brute force, every tree up to n_max."""
     bad = []
     for n in range(1, n_max + 1):
@@ -61,7 +62,7 @@ def primality_oracle_exceptions(n_max: int = 9) -> list[str]:
     return bad
 
 
-def class_count_oracle_exceptions(n_max: int = 9) -> list[str]:
+def class_count_oracle_exceptions(n_max: int) -> list[str]:
     """Successor generation vs de-duplicated labeled-sequence sweep."""
     bad = []
     for n in range(1, n_max + 1):
@@ -74,7 +75,7 @@ def class_count_oracle_exceptions(n_max: int = 9) -> list[str]:
     return bad
 
 
-def partition_oracle_exceptions(k_max: int = 200) -> list[str]:
+def partition_oracle_exceptions(k_max: int) -> list[str]:
     """Closed-form partition counts vs direct enumeration, plus the
     floor-sum identity used to collapse the two-part sums."""
     bad = []
@@ -105,7 +106,7 @@ def partition_oracle_exceptions(k_max: int = 200) -> list[str]:
 # characterization sweeps
 
 
-def critical_equivalence_exceptions(n_lo: int = 5, n_hi: int = 12) -> list[str]:
+def critical_equivalence_exceptions(n_lo: int, n_hi: int) -> list[str]:
     """Both directions of the non-critical-set characterization.
 
     Forward: the computed set passes all four conditions.  Converse: every
@@ -131,7 +132,7 @@ def critical_equivalence_exceptions(n_lo: int = 5, n_hi: int = 12) -> list[str]:
     return bad
 
 
-def minimal_equivalence_exceptions(n_lo: int = 5, n_hi: int = 9) -> list[str]:
+def minimal_equivalence_exceptions(n_lo: int, n_hi: int) -> list[str]:
     """Condition checker vs definitional brute force over every (tree, X)."""
     bad = []
     for n in range(n_lo, n_hi + 1):
@@ -148,7 +149,7 @@ def minimal_equivalence_exceptions(n_lo: int = 5, n_hi: int = 9) -> list[str]:
     return bad
 
 
-def unique_module_exceptions(n_max: int = 10) -> list[str]:
+def unique_module_exceptions(n_max: int) -> list[str]:
     """Deleting a leaf of a prime tree leaves at most one nontrivial module,
     of the form {leaf, deleted leaf's support}; checked against full subset
     enumeration of the remainder."""
@@ -190,7 +191,7 @@ def unique_module_exceptions(n_max: int = 10) -> list[str]:
     return bad
 
 
-def uniqueness_exceptions(n_max: int = 14) -> list[str]:
+def uniqueness_exceptions(n_max: int) -> list[str]:
     """Counted uniqueness claims for k = 1, k = floor(n/2), and k = 0.
 
     Each n's prime trees are decoded and their k computed once, for all
@@ -294,7 +295,7 @@ def family_sigma_exceptions() -> list[str]:
     return bad
 
 
-def extraction_exceptions(samples: int = 200, seed: int = 20240901) -> list[str]:
+def extraction_exceptions(samples: int, seed: int) -> list[str]:
     """Random (prime tree, pinned set) instances: the extracted subtree must
     contain the set, be prime, and pass both minimality routes."""
     bad = []
@@ -323,7 +324,7 @@ def extraction_exceptions(samples: int = 200, seed: int = 20240901) -> list[str]
     return bad
 
 
-def count_agreement_exceptions(kind: str, n_max: int = 14) -> list[str]:
+def count_agreement_exceptions(kind: str, n_max: int) -> list[str]:
     table = count_table(kind, n_max, verify=True)
     return [
         f"{kind} n={row.n}: formula {row.formula}, enumeration {row.enumerated}"
@@ -342,24 +343,31 @@ class SuiteResult:
     detail: str
 
 
+# The one statement of every sweep's range: (suite name, acceptance
+# criterion or None, sweep, quick args, full args).  The full args are the
+# acceptance ranges; `selftest --full`, the acceptance tests and the README
+# table all read them from here.  Plain tuples: each row is only unpacked,
+# and a class per row would add import work (see critical._LeafTable).
+PLAN = (
+    ("primality-oracle", 6, primality_oracle_exceptions, (8,), (9,)),
+    ("class-count-oracle", 6, class_count_oracle_exceptions, (7,), (9,)),
+    ("partition-formulas", 6, partition_oracle_exceptions, (200,), (200,)),
+    ("critical-characterization", 3, critical_equivalence_exceptions, (5, 10), (5, 12)),
+    ("minimal-characterization", 4, minimal_equivalence_exceptions, (5, 8), (5, 9)),
+    ("unique-module-after-leaf-deletion", 7, unique_module_exceptions, (9,), (10,)),
+    ("uniqueness-of-named-families", 5, uniqueness_exceptions, (12,), (14,)),
+    ("family-noncritical-sets", None, family_sigma_exceptions, (), ()),
+    ("count-critical2", 1, count_agreement_exceptions, ("critical2", 12), ("critical2", 14)),
+    ("count-minimal3", 2, count_agreement_exceptions, ("minimal3", 12), ("minimal3", 14)),
+    ("extraction", 8, extraction_exceptions, (60, 20240901), (200, 20240901)),
+)
+
+
 def run_suites(full: bool = False) -> list[SuiteResult]:
-    """Run every invariant suite; quick ranges keep the whole run around a
-    minute, full ranges match the acceptance bounds."""
-    plan = [
-        ("primality-oracle", primality_oracle_exceptions, (9 if full else 8,)),
-        ("class-count-oracle", class_count_oracle_exceptions, (9 if full else 7,)),
-        ("partition-formulas", partition_oracle_exceptions, (200,)),
-        ("critical-characterization", critical_equivalence_exceptions, (5, 12 if full else 10)),
-        ("minimal-characterization", minimal_equivalence_exceptions, (5, 9 if full else 8)),
-        ("unique-module-after-leaf-deletion", unique_module_exceptions, (10 if full else 9,)),
-        ("uniqueness-of-named-families", uniqueness_exceptions, (14 if full else 12,)),
-        ("family-noncritical-sets", family_sigma_exceptions, ()),
-        ("count-critical2", count_agreement_exceptions, ("critical2", 14 if full else 12)),
-        ("count-minimal3", count_agreement_exceptions, ("minimal3", 14 if full else 12)),
-        ("extraction", extraction_exceptions, (200 if full else 60, 20240901)),
-    ]
+    """Run every suite of PLAN at its quick or its full args."""
     results = []
-    for name, func, args in plan:
+    for name, _, func, quick, full_args in PLAN:
+        args = full_args if full else quick
         try:
             exceptions = func(*args)
         except Exception as exc:  # a crashed sweep is a failure, not an abort

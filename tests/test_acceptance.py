@@ -1,122 +1,72 @@
-"""Acceptance suite: one test per criterion, exact equality everywhere.
+"""Acceptance suite: the eight criteria, exact equality everywhere.
 
-Each test prints a single PASS line on success (visible with `pytest -s`);
-a failure shows the offending witnesses instead.  Runtime-limited criteria
-assert their stated wall-clock budgets.
+Every suite of `selftest.PLAN` runs once at its full args, which are the
+acceptance ranges; criterion 1 adds the CLI route, and criteria 1 and 2
+their pinned formula values.  Each test prints a single PASS line on success (visible
+with `pytest -s`); a failure shows the offending witnesses instead.
+Runtime-limited criteria assert their stated wall-clock budgets.
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
+
+import pytest
 
 from primetrees.cli import run
 from primetrees.counting import count_table
-from primetrees.selftest import (
-    class_count_oracle_exceptions,
-    critical_equivalence_exceptions,
-    extraction_exceptions,
-    minimal_equivalence_exceptions,
-    partition_oracle_exceptions,
-    primality_oracle_exceptions,
-    uniqueness_exceptions,
-    unique_module_exceptions,
-)
+from primetrees.selftest import PLAN
+
+FULL_ARGS = {name: full for name, _, _, _, full in PLAN}
+BUDGET_S = {1: 120, 2: 300}
 
 
 def _pass(message: str) -> None:
     print(f"PASS {message}")
 
 
-def test_criterion_1_minus2_critical_count_agrees_to_14():
+@pytest.mark.parametrize("row", PLAN, ids=[row[0] for row in PLAN])
+def test_plan_suite(row):
+    name, criterion, sweep, _, full = row
     start = time.monotonic()
-    report = run(["count", "--what", "critical2", "--nmax", "14", "--verify"])
+    exceptions = sweep(*full)
+    elapsed = time.monotonic() - start
+    assert exceptions == [], exceptions[:5]
+    budget = BUDGET_S.get(criterion)
+    assert budget is None or elapsed < budget, f"took {elapsed:.1f}s, budget {budget}s"
+    _pass(f"criterion {criterion}: {name}" if criterion else name)
+
+
+def test_readme_lists_the_plan():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    for name, criterion, _, quick, full in PLAN:
+        assert f"| `{name}` | {criterion or '-'} | `{quick}` | `{full}` |" in lines, name
+
+
+def test_criterion_1_minus2_critical_count_agrees_to_14():
+    _, nmax = FULL_ARGS["count-critical2"]
+    start = time.monotonic()
+    report = run(["count", "--what", "critical2", "--nmax", str(nmax), "--verify"])
     elapsed = time.monotonic() - start
     assert report.exit_code == 0, "\n".join(report.lines)
     rows = {rec["n"]: rec for rec in report.records}
-    assert set(rows) == set(range(5, 15))
+    assert set(rows) == set(range(5, nmax + 1))
     for n, rec in rows.items():
         assert rec["agree"], f"n={n}: formula {rec['formula']} != {rec['enumerated']}"
     assert rows[5]["formula"] == 1
     assert rows[6]["formula"] == 1
     assert rows[7]["enumerated"] == 2
     assert rows[8]["enumerated"] == 3
-    assert elapsed < 120, f"took {elapsed:.1f}s, budget 120s"
-    _pass(
-        "criterion 1: two-noncritical-vertex counts, formula == enumeration "
-        f"for 5..14 ({elapsed:.1f}s)"
-    )
+    assert elapsed < BUDGET_S[1], f"took {elapsed:.1f}s, budget {BUDGET_S[1]}s"
+    _pass(f"criterion 1: count --verify agrees for 5..{nmax} ({elapsed:.1f}s)")
 
 
 def test_criterion_2_three_minimal_count_agrees_to_14():
-    start = time.monotonic()
-    table = count_table("minimal3", 14, verify=True)
-    elapsed = time.monotonic() - start
-    rows = {row.n: row for row in table.rows}
-    assert set(rows) == set(range(4, 15))
-    for n, row in rows.items():
-        assert row.agree, f"n={n}: formula {row.formula} != {row.enumerated}"
+    # agreement and the budget are checked by the count-minimal3 plan row
+    _, nmax = FULL_ARGS["count-minimal3"]
+    rows = {row.n: row for row in count_table("minimal3", nmax, verify=False).rows}
+    assert set(rows) == set(range(4, nmax + 1))
     assert rows[4].formula == 1 and rows[5].formula == 1 and rows[6].formula == 2
-    assert elapsed < 300, f"took {elapsed:.1f}s, budget 300s"
-    _pass(f"criterion 2: 3-minimal counts, formula == enumeration for 4..14 ({elapsed:.1f}s)")
-
-
-def test_criterion_3_critical_characterization_equivalence_5_to_12():
-    exceptions = critical_equivalence_exceptions(5, 12)
-    assert exceptions == [], exceptions[:5]
-    _pass(
-        "criterion 3: four-condition characterization matches the computed "
-        "non-critical set, both directions, all prime trees on 5..12 vertices"
-    )
-
-
-def test_criterion_4_minimal_characterization_equivalence_5_to_9():
-    exceptions = minimal_equivalence_exceptions(5, 9)
-    assert exceptions == [], exceptions[:5]
-    _pass(
-        "criterion 4: three-condition checker equals definitional minimality "
-        "for every (prime tree, nonempty set) on 5..9 vertices"
-    )
-
-
-def test_criterion_5_uniqueness_claims():
-    exceptions = uniqueness_exceptions(14)
-    assert exceptions == [], exceptions[:5]
-    _pass(
-        "criterion 5: one k=1 tree per even n in 6..14 (single-hub member), "
-        "one k=floor(n/2) tree per odd n in 5..13 (spider), the 4-path is the "
-        "only prime tree with no non-critical vertex up to n=12"
-    )
-
-
-def test_criterion_6_oracle_equivalences():
-    exceptions = primality_oracle_exceptions(9)
-    assert exceptions == [], exceptions[:5]
-    exceptions = partition_oracle_exceptions(200)
-    assert exceptions == [], exceptions[:5]
-    start = time.monotonic()
-    exceptions = class_count_oracle_exceptions(9)
-    elapsed = time.monotonic() - start
-    assert exceptions == [], exceptions[:5]
-    _pass(
-        "criterion 6: tree primality == subset-scan on all trees n <= 9; "
-        "unlabeled classes == de-duplicated labeled sweep for n <= 9 "
-        f"({elapsed:.1f}s); partition formulas == direct enumeration to 200"
-    )
-
-
-def test_criterion_7_unique_module_after_leaf_deletion_to_10():
-    exceptions = unique_module_exceptions(10)
-    assert exceptions == [], exceptions[:5]
-    _pass(
-        "criterion 7: every decomposing leaf deletion in prime trees n <= 10 "
-        "leaves exactly one nontrivial module, a (leaf, support) pair"
-    )
-
-
-def test_criterion_8_extraction_on_200_random_instances():
-    exceptions = extraction_exceptions(200, seed=20240901)
-    assert exceptions == [], exceptions[:5]
-    _pass(
-        "criterion 8: 200 random (prime tree, set) extractions contain the "
-        "set and pass both minimality routes"
-    )
+    _pass(f"criterion 2: 3-minimal formula rows 4..{nmax}")

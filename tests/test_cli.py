@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
 import primetrees.cli
 import primetrees.graph
+from primetrees import counting
 from primetrees.cli import render, run
 from primetrees.graph import GUARD_CAP, read_edge_list
 
@@ -282,11 +286,38 @@ def test_module_entry_point_subprocess():
     ]
 
 
-def test_selftest_quick_subset():
-    # the CLI runner wires suites through; a tiny direct invocation keeps
-    # this test fast while the acceptance module runs the full ranges
-    from primetrees.selftest import run_suites
+def _main_subprocess(argv, stdout):
+    return subprocess.Popen(
+        [sys.executable, "-m", "primetrees", *argv], stdout=stdout, stderr=subprocess.PIPE
+    )
 
-    names = [result.name for result in run_suites(full=False)]
-    assert "critical-characterization" in names
-    assert "count-minimal3" in names
+
+def test_closed_stdout_exits_1_quietly():
+    # closed before the child starts writing, and more output than a pipe holds
+    proc = _main_subprocess(["gen", "--family", "path", "--params", "20000"], subprocess.PIPE)
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_2_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = _main_subprocess(["gen", "--family", "A", "--params", "3"], full)
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    (line,) = stderr.decode().splitlines()
+    assert line.startswith("error: cannot write output: ")
+
+
+def test_count_disagreement_prints_witness_trees(monkeypatch):
+    start, predicate, formula = counting._PREDICATES["critical2"]
+    bumped = (start, predicate, lambda n: formula(n) + (n == 7))
+    monkeypatch.setitem(counting._PREDICATES, "critical2", bumped)
+    report = run(["count", "--what", "critical2", "--nmax", "7", "--verify"])
+    assert report.exit_code == 1
+    assert "DISAGREEMENT; witness trees follow" in report.lines
+    assert report.lines[-2:] == [
+        "witness n=7 family=Pkt(5, 1) edges: 0-1 0-2 0-4 2-3 4-5 5-6",
+        "witness n=7 family=Path(7) edges: 0-1 0-4 1-2 2-3 4-5 5-6",
+    ]

@@ -13,7 +13,6 @@ from primetrees.counting import (
     partitions_two_parts,
 )
 from primetrees.graph import GraphError
-from primetrees.selftest import partition_oracle_exceptions
 
 
 def partitions_exact(k: int, parts: int) -> int:
@@ -46,10 +45,6 @@ def test_three_parts_examples(k, expected):
 def test_partition_formulas_match_oracle(k):
     assert partitions_two_parts(k) == partitions_exact(k, 2)
     assert partitions_three_parts(k) == partitions_exact(k, 3)
-
-
-def test_partition_sweep_to_200():
-    assert partition_oracle_exceptions(200) == []
 
 
 def test_partition_rejects_negative():

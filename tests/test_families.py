@@ -8,7 +8,6 @@ from primetrees.enumeration import canonical_form
 from primetrees.families import FAMILY_NMAX, build_family, path, pkt, pmn, skmn, spider
 from primetrees.graph import GraphError
 from primetrees.modules import tree_is_prime
-from primetrees.selftest import family_sigma_exceptions
 
 
 def sigma_labels(family):
@@ -90,10 +89,6 @@ def test_all_members_certify_with_advertised_size():
         for n1 in range(1, 3):
             for n2 in range(1, 3):
                 assert pmn(m, n1, n2).cert.n == m + 2 * (n1 + n2)
-
-
-def test_family_noncritical_sets_and_distinctness():
-    assert family_sigma_exceptions() == []
 
 
 def test_pmn_mirror_parameters_are_isomorphic():
