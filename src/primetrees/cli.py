@@ -15,23 +15,18 @@ the record fields, so the two formats cannot disagree.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
-from .counting import _PREDICATES, count_table
-from .critical import (
-    ConditionReport,
-    check_noncritical_set,
-    classify_critical_family,
-    noncritical_vertices,
-)
-from .enumeration import all_tree_codes, all_trees
+# Only what the parser needs loads with this module; each command imports
+# the functions it runs, so a process loads no module its command skips.
 from .families import FAMILY_BUILDERS, build_family
 from .graph import (
+    BRUTE_FORCE_GUARD,
     GUARD_CAP,
+    MINIMALITY_GUARD,
     Graph,
     GraphError,
     TreeCert,
@@ -40,31 +35,25 @@ from .graph import (
     format_edge_list,
     read_edge_list,
 )
-from .minimal import (
-    MINIMALITY_GUARD,
-    check_minimal_set,
-    extract_minimal_subtree,
-    is_k_minimal,
-    is_minimal_brute_force,
-    prime_proper_subgraph_witness,
-)
-from .modules import (
-    BRUTE_FORCE_GUARD,
-    find_nontrivial_module,
-    is_prime_brute_force,
-    tree_is_prime,
-    tree_module_witness,
-)
+
+if TYPE_CHECKING:
+    from .critical import ConditionReport
 
 
-@dataclass
 class Report:
     """What a command produced: text lines, record objects, exit status."""
 
-    exit_code: int = 0
-    lines: list[str] = field(default_factory=list)
-    records: list[dict] = field(default_factory=list)
-    format: str = "text"
+    def __init__(
+        self,
+        exit_code: int = 0,
+        lines: list[str] | None = None,
+        records: list[dict] | None = None,
+        format: str = "text",
+    ):
+        self.exit_code = exit_code
+        self.lines = [] if lines is None else lines
+        self.records = [] if records is None else records
+        self.format = format
 
 
 # What each `_cmd_*` returns: exit status, record objects, text lines.
@@ -196,6 +185,13 @@ def _condition_lines(conditions: list[dict] | None, skipped: str) -> list[str]:
 
 
 def _cmd_prime(args) -> Outcome:
+    from .modules import (
+        find_nontrivial_module,
+        is_prime_brute_force,
+        tree_is_prime,
+        tree_module_witness,
+    )
+
     graph, _ = _load_graph(args.file)
     tree = as_tree(graph)
     if tree is not None:
@@ -219,6 +215,8 @@ def _cmd_prime(args) -> Outcome:
 
 
 def _cmd_sigma(args) -> Outcome:
+    from .critical import noncritical_vertices
+
     graph, labels = _load_graph(args.file)
     sigma = noncritical_vertices(graph, args.guard)
     rec = {
@@ -232,6 +230,8 @@ def _cmd_sigma(args) -> Outcome:
 
 
 def _cmd_classify_critical(args) -> Outcome:
+    from .critical import check_noncritical_set, classify_critical_family, noncritical_vertices
+
     tree, labels = _load_tree(args.file)
     sigma = noncritical_vertices(tree)
     family = classify_critical_family(tree)
@@ -262,6 +262,9 @@ def _cmd_classify_critical(args) -> Outcome:
 
 
 def _cmd_check_minimal(args) -> Outcome:
+    from .minimal import check_minimal_set, is_minimal_brute_force, prime_proper_subgraph_witness
+    from .modules import tree_is_prime
+
     tree, labels = _load_tree(args.file)
     chosen = _parse_set(args.set, labels, tree.graph)
     rec = {
@@ -302,6 +305,8 @@ def _cmd_check_minimal(args) -> Outcome:
 
 
 def _cmd_extract_minimal(args) -> Outcome:
+    from .minimal import extract_minimal_subtree
+
     tree, labels = _load_tree(args.file)
     chosen = _parse_set(args.set, labels, tree.graph)
     sub, idmap = extract_minimal_subtree(tree, chosen)
@@ -327,6 +332,9 @@ def _cmd_extract_minimal(args) -> Outcome:
 
 
 def _cmd_gen(args) -> Outcome:
+    from .critical import noncritical_vertices
+    from .modules import tree_is_prime
+
     family = build_family(args.family, args.params)
     sigma = None
     if tree_is_prime(family.cert):
@@ -356,6 +364,10 @@ def _cmd_gen(args) -> Outcome:
 def _parse_predicate(expr: str | None):
     if expr is None:
         return None
+    from .critical import noncritical_vertices
+    from .minimal import is_k_minimal
+    from .modules import tree_is_prime
+
     if expr == "prime":
         return lambda tree: tree_is_prime(tree)
     name, _, value = expr.partition("=")
@@ -371,6 +383,8 @@ def _parse_predicate(expr: str | None):
 
 
 def _cmd_enumerate(args) -> Outcome:
+    from .enumeration import all_tree_codes, all_trees
+
     predicate = _parse_predicate(args.predicate)
     records = [
         {
@@ -390,6 +404,10 @@ def _cmd_enumerate(args) -> Outcome:
 
 
 def _cmd_count(args) -> Outcome:
+    from .counting import _PREDICATES, count_table
+    from .critical import classify_critical_family
+    from .enumeration import all_trees
+
     table = count_table(args.what, args.nmax, verify=args.verify)
     records = [
         {
@@ -439,7 +457,7 @@ def _cmd_count(args) -> Outcome:
 
 
 def _cmd_selftest(args) -> Outcome:
-    from .selftest import run_suites  # only this command loads the sweeps
+    from .selftest import run_suites
 
     records = [
         {
@@ -605,6 +623,8 @@ def run(argv: list[str]) -> Report:
 def render(report: Report) -> str:
     """The exact bytes `main` would print, for tests and embedding."""
     if report.format == "records":
+        import json
+
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in report.records)
     return "".join(line + "\n" for line in report.lines)
 

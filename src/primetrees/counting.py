@@ -7,7 +7,7 @@ are 0, 1, 4, or 9 mod 12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Literal
 
 from .critical import noncritical_vertices
@@ -97,11 +97,10 @@ _PREDICATES: dict[str, tuple[int, Callable[[TreeCert], bool], Callable[[int], in
 }
 
 
-@dataclass(frozen=True)
-class CountRow:
-    n: int
-    formula: int
-    enumerated: int | None = None
+class CountRow(namedtuple("CountRow", "n formula enumerated", defaults=(None,))):
+    """The formula value at n, next to the enumerated count when verified."""
+
+    __slots__ = ()
 
     @property
     def agree(self) -> bool | None:
@@ -110,10 +109,10 @@ class CountRow:
         return self.formula == self.enumerated
 
 
-@dataclass(frozen=True)
-class CountTable:
-    kind: str
-    rows: tuple[CountRow, ...]
+class CountTable(namedtuple("CountTable", "kind rows")):
+    """A count kind and its rows in increasing n."""
+
+    __slots__ = ()
 
     @property
     def all_agree(self) -> bool:

@@ -11,13 +11,12 @@ for cross-checking the tree route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .enumeration import canonical_form
 from .families import path, pkt, pmn, spider
-from .graph import Graph, GraphError, TreeCert, as_tree, vertex_set
+from .graph import BRUTE_FORCE_GUARD, Graph, GraphError, TreeCert, as_tree, vertex_set
 from .modules import (
-    BRUTE_FORCE_GUARD,
     ModuleWitness,
     is_prime_brute_force,
     tree_is_prime,
@@ -25,11 +24,11 @@ from .modules import (
 )
 
 
-@dataclass(frozen=True)
-class NoncriticalSet:
-    """The non-critical vertices of a prime graph; k is their count."""
+class NoncriticalSet(namedtuple("NoncriticalSet", "vertices")):
+    """The non-critical vertices of a prime graph, a sorted tuple; k is
+    their count."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -72,21 +71,18 @@ def noncritical_vertices_brute_force(
 # condition reports
 
 
-@dataclass(frozen=True)
-class Condition:
-    """One numbered condition verdict; failing verdicts carry a witness."""
+class Condition(namedtuple("Condition", "index holds witness note", defaults=(None, ""))):
+    """One numbered condition verdict; failing verdicts carry a witness
+    (a tuple of vertex ids, else None) and every verdict a note."""
 
-    index: int
-    holds: bool
-    witness: tuple[int, ...] | None = None
-    note: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Ordered condition verdicts; overall truth is their conjunction."""
+class ConditionReport(namedtuple("ConditionReport", "conditions")):
+    """Ordered condition verdicts (a tuple of Condition); overall truth is
+    their conjunction."""
 
-    conditions: tuple[Condition, ...]
+    __slots__ = ()
 
     @property
     def overall(self) -> bool:
@@ -128,7 +124,7 @@ class _LeafTable:
     most one per condition.
     """
 
-    # a plain slotted class: a dataclass costs about 1 ms more per import
+    # slotted: one table per certified tree, built once; only `failures` grows
     __slots__ = ("leaf_distance", "rows", "partners", "pendant", "failures")
 
     def __init__(self, tree: TreeCert):
@@ -274,12 +270,11 @@ def unique_module_of_leaf_deletion(tree: TreeCert, leaf: int) -> ModuleWitness |
 # family classification
 
 
-@dataclass(frozen=True)
-class CriticalFamily:
-    """Named-family tag with recovered parameters; kind 'Other' otherwise."""
+class CriticalFamily(namedtuple("CriticalFamily", "kind params", defaults=((),))):
+    """Named-family tag with recovered parameters (a tuple of integers);
+    kind 'Other' otherwise."""
 
-    kind: str
-    params: tuple[int, ...] = ()
+    __slots__ = ()
 
     def __str__(self) -> str:
         if not self.params:

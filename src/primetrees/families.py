@@ -9,7 +9,7 @@ label by label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph import GraphError, TreeCert, build_graph, certify_tree
 
@@ -19,14 +19,12 @@ from .graph import GraphError, TreeCert, build_graph, certify_tree
 FAMILY_NMAX = 10**6
 
 
-@dataclass(frozen=True)
-class FamilyTree:
-    """A family member: certified tree plus its construction metadata."""
+class FamilyTree(namedtuple("FamilyTree", "cert tag params labels")):
+    """A family member: certified tree (`cert`) plus its construction
+    metadata: the family tag, its integer parameters and the map from each
+    label to its vertex id."""
 
-    cert: TreeCert
-    tag: str
-    params: tuple[int, ...]
-    labels: dict[str, int]
+    __slots__ = ()
 
     @property
     def id_to_label(self) -> dict[int, str]:

@@ -14,6 +14,12 @@ from typing import Iterable
 # a graph past it with too few edges to be connected.
 GUARD_CAP = 24
 
+# Default guards of the exponential oracles: module subset scans are 2^n and
+# definitional minimality scans 2^(n-|X|) subsets; past these they stop being
+# desk-scale.  They sit with the cap so the CLI's defaults load no oracle.
+BRUTE_FORCE_GUARD = 20
+MINIMALITY_GUARD = 16
+
 
 class GraphError(ValueError):
     """Rejected input: malformed graph, bad vertex id, or guard violation."""
@@ -251,10 +257,14 @@ def format_edge_list(graph: Graph, annotations: dict[str, str] | None = None) ->
     """Serialize a graph in the edge-list format, byte-stable.
 
     Annotations are emitted first as `# key: value` comments in the given
-    order; edges follow in lexicographic order.
+    order; edges follow in lexicographic order.  A key or value holding a
+    line break is refused: its tail would be read back as a line of its own.
     """
     lines = []
     for key, value in (annotations or {}).items():
+        for text in (key, value):
+            if text.splitlines() not in ([], [text]):
+                raise GraphError(f"annotation {key!r} cannot hold a line break: {text!r}")
         lines.append(f"# {key}: {value}")
     lines.append(str(graph.n))
     for u, v in graph.edges():

@@ -8,15 +8,12 @@ three-condition checker, which reads the support structure in linear time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .critical import Condition, ConditionReport, _checked_members, _leaf_table, _other_neighbor
-from .graph import GraphError, TreeCert, as_tree, certify_tree, vertex_set
+from .graph import MINIMALITY_GUARD, GraphError, TreeCert, as_tree, certify_tree, vertex_set
 from .modules import tree_is_prime
-
-# Definitional minimality scans 2^(n-|X|) subsets.
-MINIMALITY_GUARD = 16
 
 _C2_HOLDS = Condition(2, True, None, "every leaf or its support is in the set")
 _C3_HOLDS = Condition(
@@ -189,12 +186,11 @@ def is_k_minimal(tree: TreeCert, k: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class MinimalForm:
-    """Shape tag for a tree/3-set pair tested for minimality."""
+class MinimalForm(namedtuple("MinimalForm", "kind params", defaults=((),))):
+    """Shape tag for a tree/3-set pair tested for minimality: a kind name
+    and a tuple of integer parameters."""
 
-    kind: str
-    params: tuple[int, ...] = ()
+    __slots__ = ()
 
     def __str__(self) -> str:
         if not self.params:

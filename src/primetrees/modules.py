@@ -13,21 +13,17 @@ neither may be rewritten in terms of the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .graph import Graph, GraphError, TreeCert, as_tree, vertex_set
-
-# Subset scans are 2^n; past this they stop being desk-scale.
-BRUTE_FORCE_GUARD = 20
+from .graph import BRUTE_FORCE_GUARD, Graph, GraphError, TreeCert, as_tree, vertex_set
 
 
-@dataclass(frozen=True)
-class ModuleWitness:
-    """A nontrivial module: 2 <= |members| < n, members sorted."""
+class ModuleWitness(namedtuple("ModuleWitness", "members")):
+    """A nontrivial module: 2 <= |members| < n, members a sorted tuple."""
 
-    members: tuple[int, ...]
+    __slots__ = ()
 
 
 def is_module(graph: Graph, members: Iterable[int]) -> bool:

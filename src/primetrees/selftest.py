@@ -11,7 +11,7 @@ exhaustive enumeration, successor generation vs labeled-sequence collapse.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .counting import (
@@ -336,18 +336,16 @@ def count_agreement_exceptions(kind: str, n_max: int) -> list[str]:
 # suite runner
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    ok: bool
-    detail: str
+class SuiteResult(namedtuple("SuiteResult", "name ok detail")):
+    """One suite's outcome: its name, whether it passed, and a one-line detail."""
+
+    __slots__ = ()
 
 
 # The one statement of every sweep's range: (suite name, acceptance
 # criterion or None, sweep, quick args, full args).  The full args are the
 # acceptance ranges; `selftest --full`, the acceptance tests and the README
-# table all read them from here.  Plain tuples: each row is only unpacked,
-# and a class per row would add import work (see critical._LeafTable).
+# table all read them from here.  Plain tuples: each row is only unpacked.
 PLAN = (
     ("primality-oracle", 6, primality_oracle_exceptions, (8,), (9,)),
     ("class-count-oracle", 6, class_count_oracle_exceptions, (7,), (9,)),

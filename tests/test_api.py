@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-import types
+import importlib
+
+import pytest
 
 import primetrees
 
@@ -63,9 +65,12 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    names = sorted(
-        name
-        for name, value in vars(primetrees).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    )
-    assert names == PUBLIC
+    # `__all__`, not `vars()`: the package loads each name on first access
+    assert sorted(primetrees.__all__) == PUBLIC
+    for name in PUBLIC:
+        value = getattr(primetrees, name)
+        assert value.__module__.startswith("primetrees."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert set(PUBLIC) <= set(dir(primetrees))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        primetrees.no_such_name

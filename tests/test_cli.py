@@ -286,6 +286,52 @@ def test_module_entry_point_subprocess():
     ]
 
 
+# Run in a fresh interpreter: import the package, run one command line (none
+# for a bare import), then report the package modules loaded and whether
+# `dataclasses` is among all the modules loaded.
+_LOADS = """
+import json, sys
+import primetrees
+if sys.argv[1:]:
+    primetrees.cli.render(primetrees.cli.run(sys.argv[1:]))
+mods = sorted(m[len("primetrees."):] for m in sys.modules if m.startswith("primetrees."))
+print(json.dumps([mods, "dataclasses" in sys.modules]))
+"""
+
+# What each command of the benchmark mix loads, beyond the package itself.
+_CLI = ["cli", "families", "graph"]
+_CRITICAL = [*_CLI, "critical", "enumeration", "modules"]
+COMMAND_LOADS = [
+    ([], []),
+    (["prime", "{tree}"], [*_CLI, "modules"]),
+    (["sigma", "{tree}"], _CRITICAL),
+    (["classify-critical", "{tree}"], _CRITICAL),
+    (["check-minimal", "{tree}", "--set", "4,5", "--brute"], [*_CRITICAL, "minimal"]),
+    (["extract-minimal", "{tree}", "--set", "4"], [*_CRITICAL, "minimal"]),
+    (["gen", "--family", "A", "--params", "3"], _CRITICAL),
+    (["enumerate", "--n", "6"], [*_CLI, "enumeration"]),
+    (["count", "--what", "critical2", "--nmax", "8", "--verify"], [*_CRITICAL, "counting", "minimal"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loads", COMMAND_LOADS, ids=[argv[0] if argv else "bare" for argv, _ in COMMAND_LOADS]
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
+    tree = gen_file(tmp_path, "a3.txt", "A", ["3"])
+    argv = [word.format(tree=tree) for word in argv]
+    baseline = subprocess.run(
+        [sys.executable, "-c", "import sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS, *argv], capture_output=True, text=True, check=True
+    )
+    modules, dataclasses_loaded = json.loads(proc.stdout)
+    assert modules == sorted(loads)
+    assert dataclasses_loaded == (baseline.stdout.strip() == "True")
+
+
 def _main_subprocess(argv, stdout):
     return subprocess.Popen(
         [sys.executable, "-m", "primetrees", *argv], stdout=stdout, stderr=subprocess.PIPE

@@ -210,3 +210,37 @@ def test_cli_exits_cleanly_and_deterministically(directory, argv, drawn):
     if first.format == "records":
         for line in out.splitlines():
             assert isinstance(json.loads(line), dict), (argv, line)
+
+
+# ---------------------------------------------------------------------------
+# extraction output read back
+
+# every character `str.splitlines` ends a line at
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# mostly plain spacing; `\x1f` is whitespace but ends no line
+SPACING = _chance(7, 8).flatmap(
+    lambda plain: st.sampled_from(["", " ", "\t", "\x1f"] if plain else LINE_BREAKS)
+)
+
+
+@st.composite
+def spaced_sets(draw) -> str:
+    """A `--set` value of good vertex words, each wrapped in drawn spacing."""
+    words = draw(st.lists(st.sampled_from([*map(str, range(8)), "a1", "c4", "r"]), min_size=1, max_size=3))
+    return ",".join(draw(SPACING) + word + draw(SPACING) for word in words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BASE_TEXTS)), spaced_sets())
+def test_extract_minimal_output_reads_back(directory, name, raw):
+    report = run(["extract-minimal", str(directory / name), "--set", raw])
+    if report.exit_code == 2:
+        (line,) = report.lines
+        assert line.startswith("error: ")
+        return
+    assert report.exit_code == 0 and raw.splitlines() == [raw]
+    graph, annotations = read_edge_list(render(report))
+    (record,) = report.records
+    assert (graph.n, graph.edges()) == (record["n"], [tuple(e) for e in record["edges"]])
+    assert annotations["vertices"] == " ".join(map(str, record["vertices"]))
+    assert annotations["command"] == f"extract-minimal --set {raw}".rstrip()

@@ -146,6 +146,9 @@ def test_edge_list_round_trip():
     again, annotations2 = read_edge_list(emitted)
     assert again == g and annotations2 == annotations
     assert format_edge_list(again, annotations2) == emitted
+    for bad in ({"command": "x --set 1,\n 7"}, {"a\rb": "c"}, {"note": "x\u2028"}):
+        with pytest.raises(GraphError, match="line break"):
+            format_edge_list(g, bad)
 
 
 def test_edge_list_ignores_plain_comments_and_blanks():
