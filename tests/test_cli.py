@@ -314,22 +314,29 @@ COMMAND_LOADS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, loads", COMMAND_LOADS, ids=[argv[0] if argv else "bare" for argv, _ in COMMAND_LOADS]
-)
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads):
-    tree = gen_file(tmp_path, "a3.txt", "A", ["3"])
-    argv = [word.format(tree=tree) for word in argv]
-    baseline = subprocess.run(
+@pytest.fixture(scope="module")
+def bare_interpreter_has_dataclasses() -> bool:
+    proc = subprocess.run(
         [sys.executable, "-c", "import sys; print('dataclasses' in sys.modules)"],
         capture_output=True, text=True, check=True,
     )
+    return proc.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize(
+    "argv, loads", COMMAND_LOADS, ids=[argv[0] if argv else "bare" for argv, _ in COMMAND_LOADS]
+)
+def test_each_command_loads_only_the_modules_it_runs(
+    tmp_path, bare_interpreter_has_dataclasses, argv, loads
+):
+    tree = gen_file(tmp_path, "a3.txt", "A", ["3"])
+    argv = [word.format(tree=tree) for word in argv]
     proc = subprocess.run(
         [sys.executable, "-c", _LOADS, *argv], capture_output=True, text=True, check=True
     )
     modules, dataclasses_loaded = json.loads(proc.stdout)
     assert modules == sorted(loads)
-    assert dataclasses_loaded == (baseline.stdout.strip() == "True")
+    assert dataclasses_loaded == bare_interpreter_has_dataclasses
 
 
 def _main_subprocess(argv, stdout):

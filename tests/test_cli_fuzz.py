@@ -216,7 +216,9 @@ def test_cli_exits_cleanly_and_deterministically(directory, argv, drawn):
 # extraction output read back
 
 # every character `str.splitlines` ends a line at
-LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_BREAKS = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
 # mostly plain spacing; `\x1f` is whitespace but ends no line
 SPACING = _chance(7, 8).flatmap(
     lambda plain: st.sampled_from(["", " ", "\t", "\x1f"] if plain else LINE_BREAKS)
@@ -226,7 +228,8 @@ SPACING = _chance(7, 8).flatmap(
 @st.composite
 def spaced_sets(draw) -> str:
     """A `--set` value of good vertex words, each wrapped in drawn spacing."""
-    words = draw(st.lists(st.sampled_from([*map(str, range(8)), "a1", "c4", "r"]), min_size=1, max_size=3))
+    vertex = st.sampled_from([*map(str, range(8)), "a1", "c4", "r"])
+    words = draw(st.lists(vertex, min_size=1, max_size=3))
     return ",".join(draw(SPACING) + word + draw(SPACING) for word in words)
 
 
