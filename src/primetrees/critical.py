@@ -12,8 +12,9 @@ for cross-checking the tree route.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
+from itertools import compress
 
-from .enumeration import canonical_form
 from .families import path, pkt, pmn, spider
 from .graph import BRUTE_FORCE_GUARD, Graph, GraphError, TreeCert, as_tree, vertex_set
 from .modules import (
@@ -89,6 +90,10 @@ class ConditionReport(namedtuple("ConditionReport", "conditions")):
         return all(c.holds for c in self.conditions)
 
 
+# builds a report from its one field without the namedtuple's Python-level
+# __new__, on the checkers' per-call path
+_report = partial(tuple.__new__, ConditionReport)
+
 _C1_HOLDS = Condition(1, True, None, "every two leaves at distance >= 3")
 _C2_HOLDS = Condition(2, True, None, "all members are leaves, size within floor(n/2)")
 _C3_HOLDS = Condition(
@@ -99,6 +104,11 @@ _C4_HOLDS = Condition(
     4, True, None,
     "members with a degree-2 support keep every other leaf at distance >= 4",
 )
+
+
+# vertex kinds in `_LeafTable.kind`, all nonzero; a support is never a leaf,
+# so its slot of a member mark reads 1 exactly when it is a member
+_INNER, _LEAF, _PARTNERED = 1, 2, 3
 
 
 class _LeafTable:
@@ -118,14 +128,16 @@ class _LeafTable:
     3 are exactly two leaves sharing a support, so its witness is the
     smallest such pair.  `rows` maps each leaf, in id order, to its support,
     the support's degree and the support's neighbors.  `pendant` maps each
-    support with exactly one leaf to that leaf.  `failures` interns the
+    support with exactly one leaf to that leaf.  `kind` is an n-slot
+    bytearray that marks each vertex inner, leaf or partnered leaf; the
+    member reader copies it into its membership slots.  `failures` interns the
     checkers' failing verdicts met so far, keyed by what their witness and
     note depend on, so a repeated failure costs a lookup; a call adds at
     most one per condition.
     """
 
     # slotted: one table per certified tree, built once; only `failures` grows
-    __slots__ = ("leaf_distance", "rows", "partners", "pendant", "failures")
+    __slots__ = ("leaf_distance", "rows", "partners", "pendant", "kind", "failures")
 
     def __init__(self, tree: TreeCert):
         adj = tree.graph.adj
@@ -140,14 +152,17 @@ class _LeafTable:
         own = {support: tree.leaf_neighbors(support) for support in tree.supports}
         self.rows: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self.partners: dict[int, tuple[int, ...]] = {}
+        self.kind = bytearray((_INNER,)) * tree.n
         for x in tree.leaves:
             support = adj[x][0]
             nbrs = adj[support]
             self.rows[x] = (support, len(nbrs), nbrs)
+            self.kind[x] = _LEAF
             if len(nbrs) == 2:
                 close = own.get(_other_neighbor(tree, support, x))
                 if close:
                     self.partners[x] = close
+                    self.kind[x] = _PARTNERED
         self.pendant = {support: leaves[0] for support, leaves in own.items() if len(leaves) == 1}
         self.failures: dict[tuple, Condition] = {}
 
@@ -164,18 +179,45 @@ def _leaf_table(tree: TreeCert) -> _LeafTable:
     return table
 
 
-def _checked_members(tree: TreeCert, members) -> tuple[_LeafTable, set[int]]:
-    """The tree's leaf table and the checked vertex set of a
-    characterization, which needs n >= 5 and a nonempty set of valid ids."""
-    if tree.n < 5:
+def _read_members(
+    tree: TreeCert, members, count_near: bool
+) -> tuple[_LeafTable, bytearray, list[int] | None, int]:
+    """Read a characterization's member ids in one pass, for trees with
+    n >= 5 and a nonempty set of valid ids; `members` may be a one-shot
+    iterator.  Errors come in the order n < 5, empty set, out-of-range id,
+    and the last names the smallest such id.
+
+    Returns the tree's leaf table; `mark`, an n-slot bytearray that holds
+    each member's kind (never 0) and 0 elsewhere, so `mark.find(_INNER)` is
+    the smallest member that is not a leaf and `mark.find(_PARTNERED)` the
+    smallest member with a partner; near[w], the number of members adjacent
+    to w, when `count_near` asks for it (else None); and the member count.
+    """
+    n = tree.n
+    if n < 5:
         raise GraphError("the characterization is stated for trees with >= 5 vertices")
-    cset = set(members)
-    if not cset:
+    table = _leaf_table(tree)
+    adj, kind = tree.graph.adj, table.kind
+    mark = bytearray(n)
+    near = [0] * n if count_near else None
+    bad = None
+    for v in members:
+        if not 0 <= v < n:
+            if bad is None or v < bad:
+                bad = v
+            continue
+        if mark[v]:
+            continue
+        mark[v] = kind[v]
+        if count_near:
+            for w in adj[v]:
+                near[w] += 1
+    if bad is not None:
+        tree.graph.check_vertex(bad)
+    size = n - mark.count(0)
+    if not size:
         raise GraphError("vertex set must be nonempty")
-    if min(cset) < 0 or max(cset) >= tree.n:
-        for v in sorted(cset):
-            tree.graph.check_vertex(v)
-    return _leaf_table(tree), cset
+    return table, mark, near, size
 
 
 def _other_neighbor(tree: TreeCert, v: int, known: int) -> int:
@@ -193,41 +235,37 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     Distances are read off the support structure: the members at distance 3
     from a leaf are those at distance 2 from its support, and a leaf whose
     support has degree 2 sees leaves below distance 4 only at the support's
-    other neighbor.  The per-tree facts come from the tree's leaf table, so
-    past one n-slot count array a call costs O(|X| + sum of member degrees +
-    leaves).
+    other neighbor.  The per-tree facts come from the tree's leaf table, and
+    one pass over `members` (any iterable) yields every per-set fact, so past
+    two n-slot arrays a call costs O(|X| + sum of member degrees + leaves).
     """
-    table, cset = _checked_members(tree, members)
-    n, adj, failures = tree.n, tree.graph.adj, table.failures
+    table, mark, near, size = _read_members(tree, members, True)
+    n, failures = len(mark), table.failures
 
-    non_leaf = cset.difference(table.rows)
-    if non_leaf:
-        v = min(non_leaf)
-        key = ("non-leaf member", v)
+    non_leaf = mark.find(_INNER)
+    if non_leaf >= 0:
+        key = ("non-leaf member", non_leaf)
         c2 = failures.get(key) or failures.setdefault(
-            key, Condition(2, False, (v,), f"member {v} is not a leaf")
+            key, Condition(2, False, (non_leaf,), f"member {non_leaf} is not a leaf")
         )
-    elif len(cset) > n // 2:
+    elif size > n // 2:
         c2 = Condition(
-            2, False, vertex_set(cset), f"set size {len(cset)} exceeds floor(n/2) = {n // 2}"
+            2, False, tuple(compress(range(n), mark)),
+            f"set size {size} exceeds floor(n/2) = {n // 2}",
         )
     else:
         c2 = _C2_HOLDS
 
     c3 = _C3_HOLDS
-    near = [0] * n  # near[w]: members adjacent to w
-    for xi in cset:
-        for w in adj[xi]:
-            near[w] += 1
     for x, (support, degree, nbrs) in table.rows.items():
-        if x in cset:
+        if mark[x]:
             continue
         if degree == 2:
-            hits = near[nbrs[0]] + near[nbrs[1]] - 2 * (support in cset)
+            hits = near[nbrs[0]] + near[nbrs[1]] - 2 * mark[support]
             if hits == 1:
                 continue
         else:
-            hits = sum(near[w] for w in nbrs) - degree * (support in cset)
+            hits = sum(near[w] for w in nbrs) - degree * mark[support]
         key = ("outside leaf", x, hits)
         c3 = failures.get(key) or failures.setdefault(
             key,
@@ -237,21 +275,20 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
         )
         break
 
-    close = cset.intersection(table.partners)
-    if close:
-        xi = min(close)
-        y = table.partners[xi][0]
-        key = ("member with a close leaf", xi)
+    close = mark.find(_PARTNERED)
+    if close >= 0:
+        y = table.partners[close][0]
+        key = ("member with a close leaf", close)
         c4 = failures.get(key) or failures.setdefault(
             key,
             Condition(
-                4, False, (xi, y),
-                f"member {xi} has a degree-2 support but leaf {y} is at distance 3",
+                4, False, (close, y),
+                f"member {close} has a degree-2 support but leaf {y} is at distance 3",
             ),
         )
     else:
         c4 = _C4_HOLDS
-    return ConditionReport((table.leaf_distance, c2, c3, c4))
+    return _report(((table.leaf_distance, c2, c3, c4),))
 
 
 def unique_module_of_leaf_deletion(tree: TreeCert, leaf: int) -> ModuleWitness | None:
@@ -309,6 +346,8 @@ def classify_critical_family(tree: TreeCert) -> CriticalFamily:
         kind, build, params = "Pmn", pmn, (backbone, *excess)
     else:
         return CriticalFamily("Other")
+    from .enumeration import canonical_form  # only classification loads the coder
+
     if canonical_form(tree) != canonical_form(build(*params).cert):
         return CriticalFamily("Other")
     return CriticalFamily(kind, params)

@@ -140,8 +140,10 @@ class TreeCert:
         self.leaves = tuple(leaves)
         self.supports = vertex_set(leaf_children)
         self._leaf_children = {s: tuple(ls) for s, ls in leaf_children.items()}
-        # the per-tree leaf table of the prime-tree kernels, built on first use
+        # per-tree caches of the kernels, built on first use: the prime-tree
+        # leaf table and the definitional minimality scan's subtree list
         self._leaf_table = None
+        self._prime_subtrees = None
 
     @property
     def n(self) -> int:

@@ -1,9 +1,12 @@
 """Minimality of prime trees for a pinned vertex set.
 
 A prime graph is minimal for a set X when no proper induced subgraph
-containing X is prime.  The definitional test scans every vertex superset of
-X; it is exponential and guarded, and serves as the oracle for the
-three-condition checker, which reads the support structure in linear time.
+containing X is prime.  On three or more vertices a disconnected graph has a
+component of two or more vertices, or else any two vertices, as a module, so
+only the subtrees of a tree can be its prime induced subgraphs.  The definitional test therefore
+lists, once per tree, the prime proper subtrees; it is exponential and
+guarded, and serves as the oracle for the three-condition checker, which
+reads the support structure in linear time.
 """
 
 from __future__ import annotations
@@ -11,8 +14,15 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .critical import Condition, ConditionReport, _checked_members, _leaf_table, _other_neighbor
-from .graph import MINIMALITY_GUARD, GraphError, TreeCert, as_tree, certify_tree, vertex_set
+from .critical import (
+    Condition,
+    ConditionReport,
+    _leaf_table,
+    _other_neighbor,
+    _read_members,
+    _report,
+)
+from .graph import MINIMALITY_GUARD, Graph, GraphError, TreeCert, certify_tree, vertex_set
 from .modules import tree_is_prime
 
 _C2_HOLDS = Condition(2, True, None, "every leaf or its support is in the set")
@@ -22,13 +32,74 @@ _C3_HOLDS = Condition(
 )
 
 
+def _mask_members(mask: int) -> tuple[int, ...]:
+    """The ids of a vertex mask, increasing."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
+def _prime_proper_subtrees(tree: TreeCert) -> tuple[int, ...]:
+    """The tree's prime proper subtree masks, listed on first use and cached
+    on the tree.  Threads that race to list them build equal lists."""
+    masks = tree._prime_subtrees
+    if masks is None:
+        masks = tree._prime_subtrees = _list_prime_proper_subtrees(tree.graph)
+    return masks
+
+
+def _list_prime_proper_subtrees(graph: Graph) -> tuple[int, ...]:
+    """Vertex masks of the prime proper subtrees of a tree, by increasing
+    size then lexicographic order.
+
+    Each subtree is grown once, from its minimum vertex r: a set is extended
+    by a vertex of its extension list, and the new vertex adds to that list
+    only its neighbors above r that are not already next to the set, so no
+    set is reached twice.  A set of at least 4 vertices is prime when its
+    leaves and its supports are equal in number.  Only the adjacency is
+    read, never the checkers' leaf table.
+    """
+    n = graph.n
+    nbrs = [sum(1 << w for w in ws) for ws in graph.adj]
+    full = (1 << n) - 1
+    found = []
+    for r in range(n):
+        above = full ^ ((2 << r) - 1)
+        stack = [(1 << r, nbrs[r] & above, nbrs[r] | 1 << r)]
+        while stack:
+            sub, ext, seen = stack.pop()
+            if sub != full and sub.bit_count() >= 4:
+                leaves = supports = 0
+                rest = sub
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    inside = nbrs[low.bit_length() - 1] & sub
+                    if not inside & (inside - 1):
+                        leaves += 1
+                        supports |= inside
+                if leaves == supports.bit_count():
+                    found.append(sub)
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = nbrs[low.bit_length() - 1]
+                stack.append((sub | low, ext | (w & above & ~seen), seen | w))
+    found.sort(key=lambda mask: (mask.bit_count(), _mask_members(mask)))
+    return tuple(found)
+
+
 def prime_proper_subgraph_witness(
     tree: TreeCert, members, guard: int = MINIMALITY_GUARD
 ) -> tuple[int, ...] | None:
     """Smallest proper vertex set W >= X with T[W] prime, or None.
 
     None means T is minimal for X by definition.  Search order is increasing
-    size, then lexicographic, so the witness is deterministic.
+    size, then lexicographic, so the witness is deterministic; it is the
+    first of the tree's prime proper subtrees, in that order, to contain X.
     """
     if not tree_is_prime(tree):
         raise GraphError("minimality is defined for prime trees only")
@@ -39,13 +110,10 @@ def prime_proper_subgraph_witness(
     chosen = vertex_set(members)
     for v in chosen:
         tree.graph.check_vertex(v)
-    rest = [v for v in range(tree.n) if v not in set(chosen)]
-    for size in range(len(rest)):
-        for extra in combinations(rest, size):
-            candidate = vertex_set(chosen + extra)
-            sub = as_tree(tree.graph.induced_subgraph(candidate)[0])
-            if sub is not None and tree_is_prime(sub):
-                return candidate
+    want = sum(1 << v for v in chosen)
+    for mask in _prime_proper_subtrees(tree):
+        if mask & want == want:
+            return _mask_members(mask)
     return None
 
 
@@ -64,15 +132,16 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     whose pendant leaf is outside needs degree 2 and a member among that
     leaf's partners, the leaves at distance 2 from the support; only leaves
     of degree-2 supports have partners.  The per-tree facts come from the
-    tree's leaf table, so a call costs O(|X| + leaves) steps (the supports
-    among the members are sorted).
+    tree's leaf table and the per-set facts from one pass over `members`
+    (any iterable), so past one n-slot bytearray a call costs O(|X| +
+    leaves) steps.
     """
-    table, cset = _checked_members(tree, members)
-    failures = table.failures
+    table, mark, _, _ = _read_members(tree, members, False)
+    failures, partners = table.failures, table.partners
 
     c2 = _C2_HOLDS
     for x, (support, _, _) in table.rows.items():
-        if x not in cset and support not in cset:
+        if not (mark[x] or mark[support]):
             key = ("uncovered leaf", x)
             c2 = failures.get(key) or failures.setdefault(
                 key,
@@ -81,9 +150,8 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
             break
 
     c3 = _C3_HOLDS
-    for xi in sorted(cset.intersection(table.pendant)):
-        leaf = table.pendant[xi]
-        if leaf in cset or not cset.isdisjoint(table.partners.get(leaf, ())):
+    for xi, leaf in table.pendant.items():
+        if not mark[xi] or mark[leaf] or any(mark[y] for y in partners.get(leaf, ())):
             continue
         key = ("support member", xi)
         c3 = failures.get(key) or failures.setdefault(
@@ -95,7 +163,7 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
             ),
         )
         break
-    return ConditionReport((table.leaf_distance, c2, c3))
+    return _report(((table.leaf_distance, c2, c3),))
 
 
 def _pair_deletion_is_prime(tree: TreeCert, leaf: int) -> bool:

@@ -53,11 +53,25 @@ def _check_guard(graph: Graph, guard: int) -> None:
 def iter_nontrivial_modules(
     graph: Graph, guard: int = BRUTE_FORCE_GUARD
 ) -> Iterator[tuple[int, ...]]:
-    """Enumerate every nontrivial module, by increasing size then lexicographic."""
+    """Enumerate every nontrivial module, by increasing size then lexicographic.
+
+    Each vertex subset is tested on adjacency bitmasks (at most `guard` bits):
+    M is a module exactly when every member has the first member's neighbors
+    outside M, so the masks of N(first) ^ N(v) over the members must all lie
+    inside M.
+    """
     _check_guard(graph, guard)
-    for size in range(2, graph.n):
-        for members in combinations(range(graph.n), size):
-            if is_module(graph, members):
+    n = graph.n
+    nbrs = [sum(1 << w for w in ws) for ws in graph.adj]
+    bits = [1 << v for v in range(n)]
+    for size in range(2, n):
+        for members in combinations(range(n), size):
+            first = nbrs[members[0]]
+            inside = differ = 0
+            for v in members:
+                inside |= bits[v]
+                differ |= first ^ nbrs[v]
+            if not differ & ~inside:
                 yield members
 
 

@@ -351,7 +351,7 @@ PLAN = (
     ("class-count-oracle", 6, class_count_oracle_exceptions, (7,), (9,)),
     ("partition-formulas", 6, partition_oracle_exceptions, (200,), (200,)),
     ("critical-characterization", 3, critical_equivalence_exceptions, (5, 10), (5, 12)),
-    ("minimal-characterization", 4, minimal_equivalence_exceptions, (5, 8), (5, 9)),
+    ("minimal-characterization", 4, minimal_equivalence_exceptions, (5, 8), (5, 11)),
     ("unique-module-after-leaf-deletion", 7, unique_module_exceptions, (9,), (10,)),
     ("uniqueness-of-named-families", 5, uniqueness_exceptions, (12,), (14,)),
     ("family-noncritical-sets", None, family_sigma_exceptions, (), ()),

@@ -300,17 +300,20 @@ print(json.dumps([mods, "dataclasses" in sys.modules]))
 
 # What each command of the benchmark mix loads, beyond the package itself.
 _CLI = ["cli", "families", "graph"]
-_CRITICAL = [*_CLI, "critical", "enumeration", "modules"]
+_CRITICAL = [*_CLI, "critical", "modules"]
 COMMAND_LOADS = [
     ([], []),
     (["prime", "{tree}"], [*_CLI, "modules"]),
     (["sigma", "{tree}"], _CRITICAL),
-    (["classify-critical", "{tree}"], _CRITICAL),
+    (["classify-critical", "{tree}"], [*_CRITICAL, "enumeration"]),
     (["check-minimal", "{tree}", "--set", "4,5", "--brute"], [*_CRITICAL, "minimal"]),
     (["extract-minimal", "{tree}", "--set", "4"], [*_CRITICAL, "minimal"]),
     (["gen", "--family", "A", "--params", "3"], _CRITICAL),
     (["enumerate", "--n", "6"], [*_CLI, "enumeration"]),
-    (["count", "--what", "critical2", "--nmax", "8", "--verify"], [*_CRITICAL, "counting", "minimal"]),
+    (
+        ["count", "--what", "critical2", "--nmax", "8", "--verify"],
+        [*_CRITICAL, "counting", "enumeration", "minimal"],
+    ),
 ]
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import labeled_trees
 from primetrees.enumeration import all_trees
 from primetrees.families import pkt, skmn
-from primetrees.graph import GraphError, build_graph, certify_tree, vertex_set
+from primetrees.graph import GraphError, as_tree, build_graph, certify_tree, vertex_set
 from primetrees.minimal import (
     check_minimal_set,
     classify_three_minimal,
@@ -29,6 +31,31 @@ def test_brute_force_examples():
     assert not is_minimal_brute_force(p(6), (0, 3))
     assert prime_proper_subgraph_witness(p(6), (0, 3)) == (0, 1, 2, 3)
     assert prime_proper_subgraph_witness(p(6), (0, 5)) is None
+
+
+def superset_scan_witness(tree, members):
+    """Oracle: the superset scan the subtree list replaced, which induces and
+    certifies every proper superset of X in (size, lex) order."""
+    chosen = vertex_set(members)
+    rest = [v for v in range(tree.n) if v not in set(chosen)]
+    for size in range(len(rest)):
+        for extra in combinations(rest, size):
+            candidate = vertex_set(chosen + extra)
+            sub = as_tree(tree.graph.induced_subgraph(candidate)[0])
+            if sub is not None and tree_is_prime(sub):
+                return candidate
+    return None
+
+
+def test_witness_matches_the_superset_scan_on_every_subset():
+    for n in range(4, 10):
+        for tree in all_trees(n):
+            if not tree_is_prime(tree):
+                continue
+            for chosen in _all_subsets(n):
+                assert prime_proper_subgraph_witness(tree, chosen) == superset_scan_witness(
+                    tree, chosen
+                ), (tree, chosen)
 
 
 def test_brute_force_rejections():
@@ -117,8 +144,6 @@ def test_monotone_under_superset():
 
 
 def _all_subsets(n):
-    from itertools import combinations
-
     out = []
     for size in range(n + 1):
         out.extend(combinations(range(n), size))
@@ -228,8 +253,6 @@ def test_classify_three_minimal_negatives():
 
 
 def test_classify_matches_brute_force_small():
-    from itertools import combinations
-
     for n in range(4, 10):
         for tree in all_trees(n):
             for chosen in combinations(range(n), 3):

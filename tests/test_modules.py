@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -87,6 +89,30 @@ def test_tree_module_witness_soundness(tree):
         members = witness.members
         assert len(members) == 2 and members != tuple(range(tree.n))
         assert is_module(tree.graph, members)
+
+
+def per_subset_modules(graph):
+    """Oracle: the scan the bitmask test replaced, `is_module` on each subset
+    in (size, lex) order."""
+    return [
+        members
+        for size in range(2, graph.n)
+        for members in combinations(range(graph.n), size)
+        if is_module(graph, members)
+    ]
+
+
+def test_module_scan_matches_is_module_on_every_small_graph():
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for picked in range(2 ** len(pairs)):
+            graph = build_graph(n, [e for i, e in enumerate(pairs) if picked >> i & 1])
+            assert list(iter_nontrivial_modules(graph)) == per_subset_modules(graph), graph
+
+
+@given(simple_graphs(max_n=9))
+def test_module_scan_matches_is_module_on_random_graphs(graph):
+    assert list(iter_nontrivial_modules(graph)) == per_subset_modules(graph)
 
 
 def test_oracle_equivalence_small():

@@ -1,8 +1,8 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
 byte encodings per enumeration, decodings and centroid steps per labeled
 sweep, canonical codes per classification, per-tree facts per
-characterization check and certificates per extraction step; and on the
-canonical coder's memory."""
+characterization check, subtree lists per minimality scan and certificates
+per extraction step; and on the canonical coder's memory."""
 
 from __future__ import annotations
 
@@ -118,13 +118,14 @@ def test_enumerate_command_prints_the_codes_it_decoded(monkeypatch):
 
 def test_classification_codes_at_most_one_candidate(monkeypatch):
     calls = []
-    code = critical.canonical_form
+    code = enumeration.canonical_form
 
     def counted(tree):
         calls.append(tree.n)
         return code(tree)
 
-    monkeypatch.setattr(critical, "canonical_form", counted)
+    # classification imports the coder when it runs, so it reads the patch
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
     for member in (pmn(40, 5, 9), pkt(9, 3), spider(6), path(12)):
         calls.clear()
         assert critical.classify_critical_family(member.cert).kind != "Other"
@@ -158,6 +159,25 @@ def test_checkers_build_the_per_tree_facts_once_per_tree(monkeypatch):
             check_minimal_set(tree, chosen)
     # condition 1 is a per-tree fact: one witness search, not one per call
     assert subsets == 2**tree.n - 1
+    assert calls == [tree.n]
+
+
+def test_minimality_scan_lists_the_subtrees_once_per_tree(monkeypatch):
+    calls = []
+    build = minimal._list_prime_proper_subtrees
+
+    def counted(graph):
+        calls.append(graph.n)
+        return build(graph)
+
+    monkeypatch.setattr(minimal, "_list_prime_proper_subtrees", counted)
+    tree = pmn(4, 1, 2).cert
+    minimal_sets = 0
+    for size in range(tree.n + 1):
+        for chosen in combinations(range(tree.n), size):
+            minimal_sets += minimal.is_minimal_brute_force(tree, chosen)
+    # every subset's witness search reads one list, built on the first call
+    assert minimal_sets > 0
     assert calls == [tree.n]
 
 
