@@ -5,16 +5,19 @@ exactly when they are isomorphic.  The encoder roots a tree at its centroid
 (the vertex minimizing the largest component left by its removal) and writes
 the classic 1...0 parenthesis string with children sorted by their encoded
 byte strings; a bicentroidal tree takes the lexicographically smaller of its
-two rooted encodings.
+two rooted encodings.  It reads a parent array and a children-first order,
+so a level sequence, a BFS or a Prüfer decoding feeds it without adjacency.
 
 Unlabeled generation is the free-tree generator of Wright, Richmond, Odlyzko
 and McKay (SIAM J. Comput. 15(2), 1986): it walks centre-rooted level
 sequences and yields exactly one per free tree, so each class is encoded
 once.  The independent oracle decodes all n^(n-2) labeled trees from their
-sequences, naming each subtree while decoding (its sorted tuple of child
-names interned to a small int; Aho, Hopcroft and Ullman 1974).  It keys each
-tree by its name rooted at n-1, re-roots at the centroid once per rooted
-key, and encodes to bytes once per class.
+sequences and names each subtree (Aho, Hopcroft and Ullman 1974): its key is
+the product of primes[name] over its children, interned to a small int.  By
+unique factorisation the product fixes the multiset of child names, so equal
+names mean isomorphic rooted trees, with no sort and no tuple.  The sweep
+keys each tree by its name rooted at n-1, re-roots at the centroid once per
+rooted key, and encodes to bytes once per class.
 """
 
 from __future__ import annotations
@@ -28,83 +31,79 @@ from .graph import GraphError, TreeCert, build_graph, certify_tree
 
 CLASS_GUARD = 18
 LABELED_GUARD = 9
-_Names = dict[tuple[int, ...], int]  # AHU names: sorted child-name tuple -> int
+_Names = dict[int, int]  # AHU names: product of the children's name primes -> int
 
 
 # ---------------------------------------------------------------------------
 # canonical codes
 
 
-def _tree_bfs(
-    adj: list[tuple[int, ...]] | list[list[int]], root: int
-) -> tuple[list[int], list[int]]:
-    """BFS order and parent array of a tree; parent of the root is -1.
-
-    Tree-specific: any neighbor other than the parent is undiscovered, so no
-    visited array is needed.
-    """
-    n = len(adj)
-    parent = [-1] * n
-    order = [root]
-    for u in order:
-        pu = parent[u]
-        for w in adj[u]:
-            if w != pu:
-                parent[w] = u
-                order.append(w)
-    return order, parent
-
-
-def _rooted_code(adj: list[tuple[int, ...]] | list[list[int]], root: int) -> bytes:
-    """AHU encoding of the tree rooted at `root`: 1 <sorted child codes> 0.
-
-    Each finished code waits in its parent's pending list, which is cleared
-    once the parent is encoded, so the live codes belong to disjoint subtrees
-    and take O(n) bytes; copying codes into their parents costs O(n · height).
-    """
-    order, parent = _tree_bfs(adj, root)
-    kids: list[list[bytes]] = [[] for _ in order]
-    for u in reversed(order):
-        k = kids[u]
-        if k:
-            k.sort()
-            code = b"".join((b"1", *k, b"0"))
-            k.clear()
-        else:
-            code = b"10"
-        p = parent[u]
-        if p >= 0:
-            kids[p].append(code)
-    return code
-
-
-def _canonical_from_adj(adj: list[tuple[int, ...]] | list[list[int]]) -> bytes:
+def _canonical_from_parents(parent: list[int], order: list[int] | range) -> bytes:
     """The code rooted at the centroid, or the smaller of the two rooted codes
-    of a bicentroidal tree.
+    of a bicentroidal tree, from a parent array (-1 at the root) and an order
+    that lists every vertex after its children.
 
-    Centroid rule: in an order that lists every vertex after its children,
-    the first vertex whose subtree holds at least half the tree is a
-    centroid; when it holds exactly half, its parent is the other centroid.
-    Here the order is the BFS order from vertex 0, reversed.
+    Centroid rule: in such an order, the first vertex whose subtree holds at
+    least half the tree is a centroid, `low`; when it holds exactly half, its
+    parent is the other centroid.  The subtrees off the path from `low` up to
+    the root are encoded bottom-up, then the path top-down, each vertex with
+    the part above it as one more child.  A finished code waits in its
+    parent's pending list, cleared once the parent is encoded, so the live
+    codes belong to disjoint subtrees and take O(n) bytes; copying codes into
+    their parents costs O(n · height).
     """
-    n = len(adj)
-    order, parent = _tree_bfs(adj, 0)
+    n = len(parent)
     size = [1] * n
-    for c in reversed(order):
-        if 2 * size[c] >= n:
+    for low in order:
+        if 2 * size[low] >= n:
             break
-        size[parent[c]] += size[c]
-    code = _rooted_code(adj, c)
-    if 2 * size[c] == n:
-        other = _rooted_code(adj, parent[c])
-        if other < code:
-            code = other
+        size[parent[low]] += size[low]
+    path = [low]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    on_path = set(path)
+    kids: list[list[bytes]] = [[] for _ in range(n)]
+    for v in order:
+        if v not in on_path:
+            k = kids[v]
+            if k:
+                k.sort()
+                code = b"".join((b"1", *k, b"0"))
+                k.clear()
+            else:
+                code = b"10"
+            kids[parent[v]].append(code)
+    up: list[bytes] = []  # the code of the part above the vertex being encoded
+    for u in reversed(path[1:]):
+        k = kids[u]
+        k += up
+        k.sort()
+        up = [b"".join((b"1", *k, b"0"))]
+        if u != path[1]:
+            k.clear()
+    k = kids[low]
+    code = b"".join((b"1", *sorted(k + up), b"0"))
+    if 2 * size[low] == n:  # low's parent, the other centroid, takes low's half
+        k.sort()
+        above = kids[path[1]]
+        above.append(b"".join((b"1", *k, b"0")))
+        above.sort()
+        code = min(code, b"".join((b"1", *above, b"0")))
     return code
 
 
 def canonical_form(tree: TreeCert) -> bytes:
     """Canonical code of a tree; equal codes <=> isomorphic trees."""
-    return _canonical_from_adj(list(tree.graph.adj))
+    adj = tree.graph.adj
+    parent = [-1] * len(adj)
+    order = [0]
+    for u in order:  # BFS: in a tree, every neighbour but the parent is new
+        pu = parent[u]
+        for w in adj[u]:
+            if w != pu:
+                parent[w] = u
+                order.append(w)
+    return _canonical_from_parents(parent, order[::-1])
 
 
 def decode_canonical(code: bytes) -> TreeCert:
@@ -184,24 +183,20 @@ def _free_level_sequences(n: int) -> Iterator[list[int]]:
             levels[n - h:] = range(1, h + 1)
 
 
-def _levels_to_adj(levels: list[int]) -> list[list[int]]:
-    n = len(levels)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    last_at_level = [0] * n
-    for i in range(1, n):
-        p = last_at_level[levels[i] - 1]
-        adj[p].append(i)
-        adj[i].append(p)
-        last_at_level[levels[i]] = i
-    return adj
-
-
 @lru_cache(maxsize=None)
 def all_tree_codes(n: int) -> tuple[bytes, ...]:
     """Canonical codes of all isomorphism classes of trees on n vertices, sorted."""
     if not 1 <= n <= CLASS_GUARD:
         raise GraphError(f"tree enumeration supports 1..{CLASS_GUARD} vertices, got {n}")
-    codes = (_canonical_from_adj(_levels_to_adj(lv)) for lv in _free_level_sequences(n))
+    codes = []
+    order = range(n - 1, -1, -1)  # a level sequence lists each vertex before its children
+    for levels in _free_level_sequences(n):
+        parent = [-1] * n
+        last_at_level = [0] * n
+        for i in range(1, n):
+            parent[i] = last_at_level[levels[i] - 1]
+            last_at_level[levels[i]] = i
+        codes.append(_canonical_from_parents(parent, order))
     return tuple(sorted(codes))
 
 
@@ -215,38 +210,31 @@ def all_trees(n: int) -> Iterator[TreeCert]:
 # labeled trees (independent oracle)
 
 
-def _prufer_parents(
-    seq: tuple[int, ...], n: int, names: _Names
-) -> tuple[list[int], list[int], int]:
-    """Parent array, children-first order and name of the labeled tree on
-    0..n-1 with the given sequence, rooted at n-1 (whose parent is -1).
+def _prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """Parent array and children-first order of the labeled tree on 0..n-1
+    with the given sequence, rooted at n-1 (whose parent is -1).
 
     Each step removes the smallest leaf and joins it to the next entry (n-1
-    after the last), its parent.  The leaf's subtree is then final, so its
-    name, its sorted tuple of child names interned in `names`, joins its
-    parent's list.  `order` lists the vertices as removed, then n-1.
-    Unchecked: the sequence must have length n-2 >= 0 and entries in 0..n-1.
+    after the last), its parent.  `order` lists the vertices as removed,
+    then n-1.  Unchecked: the sequence must have length n-2 >= 0 and
+    entries in 0..n-1.
     """
     degree = [1] * n + [1]  # the slot past n-1 stops the last step's scan
     for x in seq:
         degree[x] += 1
     parent = [-1] * n
     order: list[int] = []
-    kids: list[list[int]] = [[] for _ in range(n)]
     leaf = ptr = degree.index(1)
     for x in (*seq, n - 1):
         parent[leaf] = x
         order.append(leaf)
-        k = kids[leaf]
-        k.sort()
-        kids[x].append(names.setdefault(tuple(k), len(names)))
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
         else:
             leaf = ptr = degree.index(1, ptr + 1)
     order.append(n - 1)
-    return parent, order, names.setdefault(tuple(sorted(kids[n - 1])), len(names))
+    return parent, order
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -257,72 +245,84 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     if len(seq) != n - 2:
         raise GraphError(f"sequence length must be n-2 = {n - 2}, got {len(seq)}")
     for x in seq:
+        if not isinstance(x, int):
+            raise GraphError(f"sequence entry {x!r} is not an integer")
         if not 0 <= x < n:
             raise GraphError(f"sequence entry {x} out of range")
-    parent, _, _ = _prufer_parents(seq, n, {(): 0})
+    parent, _ = _prufer_parents(seq, n)
     return sorted((min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0)
 
 
-def _centroid_key(parent: list[int], order: list[int], names: _Names) -> int | tuple[int, int]:
-    """Name of the centroid-rooted tree, or the sorted pair of half-tree names
-    of a bicentroidal one, so equal keys mean isomorphic trees.  The centroid
-    is found by the rule in `_canonical_from_adj`; only the path from the
-    (upper) centroid to the old root n-1 is renamed."""
+@lru_cache(maxsize=None)
+def _primes() -> tuple[int, ...]:
+    """The first 486 primes, one per rooted tree on at most LABELED_GUARD = 9
+    vertices (OEIS A000081: 1 + 1 + 2 + 4 + 9 + 20 + 48 + 115 + 286), so one
+    per name a labeled sweep can intern.  Built on first use, not at import."""
+    top = 3468  # one past the 486th prime
+    sieve = bytearray([1]) * top
+    for p in range(2, 59):  # 59 * 59 > top
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, top, p)))
+    return tuple(p for p in range(2, top) if sieve[p])
+
+
+def _centroid_key(parent: list[int], order: list[int], prod: list[int], names: _Names) -> int:
+    """primes[name] of the centroid-rooted tree, or the product of the two
+    half-tree primes of a bicentroidal one.  prod[v], the key of v's name, is
+    the product of primes[name] over v's children: by unique factorisation it
+    fixes their multiset of names, and a product of two primes fixes the pair
+    and is never a prime, so equal keys mean isomorphic trees.  The centroid
+    is found by the rule in `_canonical_from_parents`; only the path from the
+    (upper) centroid to the root is renamed, each vertex on it dividing out
+    the prime of its old child on the path and multiplying in that of the
+    part above it."""
     n = len(parent)
-    kids: list[list[int]] = [[] for _ in range(n)]
+    primes = _primes()
     size = [1] * n
-    name = [0] * n
-    low = -1
-    for v in order:
-        k = kids[v]
-        if k:
-            k.sort()
-            name[v] = names.setdefault(tuple(k), len(names))
-        if low < 0 and 2 * size[v] >= n:
-            low = v
-        p = parent[v]
-        if p >= 0:
-            kids[p].append(name[v])
-            size[p] += size[v]
+    for low in order:
+        if 2 * size[low] >= n:
+            break
+        size[parent[low]] += size[low]
     cent = low if 2 * size[low] > n else parent[low]
-    # (vertex, old child dropped from its children) from cent up to n-1
+    # (vertex, old child dropped from its children) from cent up to the root
     path = [(cent, low if cent != low else -1)]
-    while path[-1][0] != n - 1:
+    while parent[path[-1][0]] >= 0:
         u = path[-1][0]
         path.append((parent[u], u))
-    up = -1  # name of the part above the vertex being renamed
+    up = 1  # primes[name] of the part above the vertex being renamed
     for u, below in reversed(path):
-        k = kids[u][:]
+        k = prod[u] * up
         if below >= 0:
-            k.remove(name[below])
-        if up >= 0:
-            k.append(up)
-        k.sort()
-        up = names.setdefault(tuple(k), len(names))
-    return up if cent == low else (min(up, name[low]), max(up, name[low]))
+            k //= primes[names[prod[below]]]
+        up = primes[names.setdefault(k, len(names))]
+    return up if cent == low else up * primes[names[prod[low]]]
 
 
 def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
     """Canonical codes of all labeled trees whose sequence starts with `prefix`:
-    the first tree of each rooted name is re-rooted at its centroid, and one
-    representative per centroid key is encoded to bytes."""
+    each tree is named rooted at n-1, the first tree of each rooted name is
+    re-rooted at its centroid, and one representative per centroid key is
+    encoded to bytes."""
     n, prefix = task
-    names: _Names = {(): 0}
+    names: _Names = {1: 0}
+    get = names.get
+    primes = _primes()
     rooted_seen: set[int] = set()
-    reps: dict[int | tuple[int, int], list[int]] = {}
+    reps: dict[int, tuple[list[int], list[int]]] = {}
     for tail in product(range(n), repeat=(n - 2) - len(prefix)):
-        parent, order, rooted = _prufer_parents(prefix + tail, n, names)
-        if rooted not in rooted_seen:
-            rooted_seen.add(rooted)
-            reps.setdefault(_centroid_key(parent, order, names), parent)
-    codes: set[bytes] = set()
-    for parent in reps.values():
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n - 1):
-            adj[v].append(parent[v])
-            adj[parent[v]].append(v)
-        codes.add(_canonical_from_adj(adj))
-    return frozenset(codes)
+        parent, order = _prufer_parents(prefix + tail, n)
+        # prod[v]: primes[name] over v's children, each named when reached;
+        # slot n (the root's parent, -1) ends as primes[name of the tree]
+        prod = [1] * (n + 1)
+        for v in order:
+            name = get(prod[v])
+            if name is None:
+                names[prod[v]] = name = len(names)
+            prod[parent[v]] *= primes[name]
+        if prod[n] not in rooted_seen:
+            rooted_seen.add(prod[n])
+            reps.setdefault(_centroid_key(parent, order, prod, names), (parent, order))
+    return frozenset(_canonical_from_parents(parent, order) for parent, order in reps.values())
 
 
 def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes]:

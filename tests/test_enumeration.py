@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 from math import factorial, prod
@@ -11,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import labeled_trees
+from primetrees import enumeration
 from primetrees.enumeration import (
+    LABELED_GUARD,
     _prufer_parents,
-    _rooted_code,
     all_tree_codes,
     all_trees,
     canonical_form,
@@ -21,8 +24,8 @@ from primetrees.enumeration import (
     labeled_tree_class_codes,
     prufer_decode,
 )
-from primetrees.families import pkt, spider
-from primetrees.graph import GraphError, build_graph, certify_tree
+from primetrees.families import path, pkt, spider
+from primetrees.graph import GraphError, TreeCert, build_graph, certify_tree
 from primetrees.modules import tree_is_prime
 
 
@@ -181,26 +184,145 @@ def test_prufer_decode_edges_are_pinned():
     assert digest.hexdigest() == expected
 
 
-def test_decoder_names_rooted_trees_as_the_byte_coder_does():
-    # one name table for every sequence with 2 <= n <= 7: equal names <=>
-    # equal AHU codes of the tree rooted at n-1
-    names = {(): 0}
+def adjacency_rooted_code(adj, root):
+    """AHU code of the tree rooted at `root`: 1 <sorted child codes> 0, each
+    pending code cleared once its parent is encoded (the adjacency coder that
+    the parent-array coder replaced)."""
+    parent = [-1] * len(adj)
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    kids = [[] for _ in order]
+    for u in reversed(order):
+        k = kids[u]
+        k.sort()
+        code = b"".join((b"1", *k, b"0"))
+        k.clear()
+        if parent[u] >= 0:
+            kids[parent[u]].append(code)
+    return code
+
+
+def adjacency_canonical(adj):
+    """Oracle for `canonical_form`: the rooted code at the centroid, or the
+    smaller one at the two centroids, each found from its component sizes."""
+    n, order, parent = len(adj), [0], [-1] * len(adj)
+    for u in order:
+        for w in adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    heaviest = [max([n - size[u]] + [size[w] for w in adj[u] if w != parent[u]]) for u in range(n)]
+    least = min(heaviest)
+    return min(adjacency_rooted_code(adj, u) for u in range(n) if heaviest[u] == least)
+
+
+def parent_adjacency(parent):
+    adj = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            adj[v].append(p)
+            adj[p].append(v)
+    return adj
+
+
+@st.composite
+def relabeled_trees(draw, max_half: int = 150) -> TreeCert:
+    """A random tree on up to 2 * max_half vertices, relabeled; half of them
+    bicentroidal, made by joining two random trees of equal size by an edge."""
+    one = draw(labeled_trees(max_n=max_half))
+    if draw(st.booleans()):
+        other = draw(labeled_trees(min_n=one.n, max_n=one.n))
+        ends = (draw(st.integers(0, one.n - 1)), one.n + draw(st.integers(0, one.n - 1)))
+        edges = one.graph.edges() + [(u + one.n, v + one.n) for u, v in other.graph.edges()]
+        one = certify_tree(build_graph(2 * one.n, [*edges, ends]))
+    perm = draw(st.permutations(range(one.n)))
+    return certify_tree(build_graph(one.n, [(perm[u], perm[v]) for u, v in one.graph.edges()]))
+
+
+@given(relabeled_trees())
+def test_parent_array_coder_matches_the_adjacency_coder(tree):
+    assert canonical_form(tree) == adjacency_canonical(tree.graph.adj)
+
+
+def test_parent_array_coder_matches_the_adjacency_coder_on_long_paths_and_brooms():
+    rng = random.Random(1401)
+    for n in (1000, 1001, 2000, 4000):
+        handle = n - n // 10  # a broom: a path whose last vertex has n // 10 bristles
+        broom = [(i, i + 1) for i in range(handle - 1)] + [(handle - 1, v) for v in range(handle, n)]
+        for tree in (path(n).cert, certify_tree(build_graph(n, broom))):
+            code = adjacency_canonical(tree.graph.adj)
+            assert canonical_form(tree) == code
+            assert canonical_form(relabeled(tree, rng)) == code
+
+
+def test_decoder_names_rooted_trees_as_the_byte_coder_does(monkeypatch):
+    # the sweep's naming over every sequence with 2 <= n <= 7, decoded into a
+    # children-first order: each vertex's key is the product of primes[name]
+    # over its children; equal names <=> equal AHU codes rooted at n-1
+    primes = enumeration._primes()
+    names = {1: 0}
     code_of, name_of = {}, {}
     for n in range(2, 8):
         for seq in product(range(n), repeat=n - 2):
-            parent, order, rooted = _prufer_parents(seq, n, names)
+            parent, order = _prufer_parents(seq, n)
             place = {v: i for i, v in enumerate(order)}
             assert sorted(order) == list(range(n)) and order[-1] == n - 1
             assert all(place[v] < place[p] for v, p in enumerate(parent) if p >= 0)
-            adj = [[] for _ in range(n)]
-            for v in range(n - 1):
-                adj[v].append(parent[v])
-                adj[parent[v]].append(v)
-            code = _rooted_code(adj, n - 1)
-            assert code_of.setdefault(rooted, code) == code, seq
-            assert name_of.setdefault(code, rooted) == rooted, seq
+            prod = [1] * (n + 1)
+            for v in order:
+                prod[parent[v]] *= primes[names.setdefault(prod[v], len(names))]
+            code = adjacency_rooted_code(parent_adjacency(parent), n - 1)
+            assert code_of.setdefault(prod[n], code) == code, seq
+            assert name_of.setdefault(code, prod[n]) == prod[n], seq
     # rooted trees on 2..7 vertices (OEIS A000081)
     assert len(code_of) == 1 + 2 + 4 + 9 + 20 + 48
+    # and the sweep itself re-roots exactly one tree per rooted tree
+    firsts = []
+    reroot = enumeration._centroid_key
+
+    def recorded(parent, order, prod, names):
+        firsts.append(adjacency_rooted_code(parent_adjacency(parent), len(parent) - 1))
+        return reroot(parent, order, prod, names)
+
+    monkeypatch.setattr(enumeration, "_centroid_key", recorded)
+    assert enumeration._labeled_sweep_chunk((7, ())) == frozenset(all_tree_codes(7))
+    assert len(firsts) == len(set(firsts)) == 48
+
+
+def rooted_tree_counts(m):
+    """OEIS A000081 for 1..m: a(k+1) = (1/k) sum_{j=1..k} (sum_{d | j} d a(d)) a(k-j+1)."""
+    a = [0, 1]
+    for k in range(1, m):
+        total = sum(
+            sum(d * a[d] for d in range(1, j + 1) if j % d == 0) * a[k - j + 1]
+            for j in range(1, k + 1)
+        )
+        a.append(total // k)
+    return a[1:]
+
+
+def test_prime_table_has_a_prime_per_name_at_the_guard():
+    assert rooted_tree_counts(9) == [1, 1, 2, 4, 9, 20, 48, 115, 286]
+    # the names a sweep interns are rooted trees on at most LABELED_GUARD vertices
+    need = sum(rooted_tree_counts(LABELED_GUARD))
+    primes = enumeration._primes()
+    assert need == 486 and len(primes) >= need
+    assert primes[:5] == (2, 3, 5, 7, 11)
+    assert all(all(p % q for q in range(2, int(p**0.5) + 1)) for p in primes)
+    assert list(primes) == sorted(set(primes))
+
+
+def test_importing_the_module_builds_no_prime_table():
+    probe = "import primetrees.enumeration as e; print(e._primes.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 def test_prufer_decode_rejections():
@@ -208,6 +330,9 @@ def test_prufer_decode_rejections():
         prufer_decode((0,), 4)
     with pytest.raises(GraphError):
         prufer_decode((9, 0), 4)
+    for entry in (1.0, "a", None):
+        with pytest.raises(GraphError, match="not an integer"):
+            prufer_decode((entry,), 3)
 
 
 def test_guards():

@@ -59,13 +59,13 @@ def test_labeled_sweep_pool_is_capped_by_task_count(monkeypatch):
 
 def _count_encodings(monkeypatch) -> list[int]:
     calls = []
-    encode = enumeration._canonical_from_adj
+    encode = enumeration._canonical_from_parents
 
-    def counted(adj):
-        calls.append(len(adj))
-        return encode(adj)
+    def counted(parent, order):
+        calls.append(len(parent))
+        return encode(parent, order)
 
-    monkeypatch.setattr(enumeration, "_canonical_from_adj", counted)
+    monkeypatch.setattr(enumeration, "_canonical_from_parents", counted)
     return calls
 
 
@@ -91,13 +91,13 @@ def test_labeled_sweep_reroots_once_per_rooted_class(monkeypatch):
     decoded, rerooted = [], []
     decode, reroot = enumeration._prufer_parents, enumeration._centroid_key
 
-    def counted_decode(seq, n, names):
+    def counted_decode(seq, n):
         decoded.append(n)
-        return decode(seq, n, names)
+        return decode(seq, n)
 
-    def counted_reroot(parent, order, names):
+    def counted_reroot(parent, order, prod, names):
         rerooted.append(len(parent))
-        return reroot(parent, order, names)
+        return reroot(parent, order, prod, names)
 
     monkeypatch.setattr(enumeration, "_prufer_parents", counted_decode)
     monkeypatch.setattr(enumeration, "_centroid_key", counted_reroot)
