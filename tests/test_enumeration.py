@@ -255,7 +255,8 @@ def test_parent_array_coder_matches_the_adjacency_coder_on_long_paths_and_brooms
     rng = random.Random(1401)
     for n in (1000, 1001, 2000, 4000):
         handle = n - n // 10  # a broom: a path whose last vertex has n // 10 bristles
-        broom = [(i, i + 1) for i in range(handle - 1)] + [(handle - 1, v) for v in range(handle, n)]
+        broom = [(i, i + 1) for i in range(handle - 1)]
+        broom += [(handle - 1, v) for v in range(handle, n)]
         for tree in (path(n).cert, certify_tree(build_graph(n, broom))):
             code = adjacency_canonical(tree.graph.adj)
             assert canonical_form(tree) == code
@@ -321,7 +322,9 @@ def test_prime_table_has_a_prime_per_name_at_the_guard():
 
 def test_importing_the_module_builds_no_prime_table():
     probe = "import primetrees.enumeration as e; print(e._primes.cache_info().currsize)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
     assert proc.stdout.strip() == "0"
 
 
