@@ -15,7 +15,6 @@ from collections import namedtuple
 from functools import partial
 from itertools import compress
 
-from .families import path, pkt, pmn, spider
 from .graph import BRUTE_FORCE_GUARD, Graph, GraphError, TreeCert, as_tree, vertex_set
 from .modules import (
     ModuleWitness,
@@ -121,7 +120,8 @@ class _LeafTable:
     shares w with w's own leaf exactly when w is a support.  So T - x is
     prime exactly when x has no partner, and otherwise its one nontrivial
     module is {s, x's partner}; on the 4-vertex path both leaves have one.
-    σ, the module rule, extraction and both checkers read this map.
+    σ, the module rule and both checkers read this map; extraction applies
+    the same rule to degrees it keeps on the input ids.
 
     `leaf_distance` is condition 1 of both characterizations: every two
     leaves at distance >= 3.  Both need n >= 5, where two leaves closer than
@@ -129,11 +129,11 @@ class _LeafTable:
     smallest such pair.  `rows` maps each leaf, in id order, to its support,
     the support's degree and the support's neighbors.  `pendant` maps each
     support with exactly one leaf to that leaf.  `kind` is an n-slot
-    bytearray that marks each vertex inner, leaf or partnered leaf; the
-    member reader copies it into its membership slots.  `failures` interns the
-    checkers' failing verdicts met so far, keyed by what their witness and
-    note depend on, so a repeated failure costs a lookup; a call adds at
-    most one per condition.
+    bytearray that marks each vertex inner, leaf or partnered leaf;
+    `check_noncritical_set` copies it into its membership slots.
+    `failures` interns the checkers' failing verdicts met so far, keyed by
+    what their witness and note depend on, so a repeated failure costs a
+    lookup; a call adds at most one per condition.
     """
 
     # slotted: one table per certified tree, built once; only `failures` grows
@@ -179,45 +179,25 @@ def _leaf_table(tree: TreeCert) -> _LeafTable:
     return table
 
 
-def _read_members(
-    tree: TreeCert, members, count_near: bool
-) -> tuple[_LeafTable, bytearray, list[int] | None, int]:
-    """Read a characterization's member ids in one pass, for trees with
-    n >= 5 and a nonempty set of valid ids; `members` may be a one-shot
-    iterator.  Errors come in the order n < 5, empty set, out-of-range id,
-    and the last names the smallest such id.
-
-    Returns the tree's leaf table; `mark`, an n-slot bytearray that holds
-    each member's kind (never 0) and 0 elsewhere, so `mark.find(_INNER)` is
-    the smallest member that is not a leaf and `mark.find(_PARTNERED)` the
-    smallest member with a partner; near[w], the number of members adjacent
-    to w, when `count_near` asks for it (else None); and the member count.
+def _read_members(tree: TreeCert, members) -> tuple[_LeafTable, set[int]]:
+    """The tree's leaf table and the set of a characterization's member ids,
+    for trees with n >= 5 and a nonempty set of valid ids; `members` may be
+    a one-shot iterator.  Errors come in the order n < 5, empty set,
+    out-of-range id; the caller tests the range, on its own pass over the
+    set or by its minimum and maximum, and `_refuse_outside` names the
+    smallest such id.
     """
-    n = tree.n
-    if n < 5:
+    if tree.n < 5:
         raise GraphError("the characterization is stated for trees with >= 5 vertices")
-    table = _leaf_table(tree)
-    adj, kind = tree.graph.adj, table.kind
-    mark = bytearray(n)
-    near = [0] * n if count_near else None
-    bad = None
-    for v in members:
-        if not 0 <= v < n:
-            if bad is None or v < bad:
-                bad = v
-            continue
-        if mark[v]:
-            continue
-        mark[v] = kind[v]
-        if count_near:
-            for w in adj[v]:
-                near[w] += 1
-    if bad is not None:
-        tree.graph.check_vertex(bad)
-    size = n - mark.count(0)
-    if not size:
+    chosen = set(members)
+    if not chosen:
         raise GraphError("vertex set must be nonempty")
-    return table, mark, near, size
+    return _leaf_table(tree), chosen
+
+
+def _refuse_outside(tree: TreeCert, chosen: set[int]) -> None:
+    """Raise for the smallest member id outside 0..n-1."""
+    tree.graph.check_vertex(min(v for v in chosen if not 0 <= v < tree.n))
 
 
 def _other_neighbor(tree: TreeCert, v: int, known: int) -> int:
@@ -236,11 +216,23 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     from a leaf are those at distance 2 from its support, and a leaf whose
     support has degree 2 sees leaves below distance 4 only at the support's
     other neighbor.  The per-tree facts come from the tree's leaf table, and
-    one pass over `members` (any iterable) yields every per-set fact, so past
-    two n-slot arrays a call costs O(|X| + sum of member degrees + leaves).
+    one pass over the set of `members` (any iterable) yields every per-set
+    fact, so past two n-slot arrays a call costs O(|X| + sum of member
+    degrees + leaves).
     """
-    table, mark, near, size = _read_members(tree, members, True)
-    n, failures = len(mark), table.failures
+    table, chosen = _read_members(tree, members)
+    n, adj, kind, failures = tree.n, tree.graph.adj, table.kind, table.failures
+    # mark[v] holds member v's kind (never 0) and 0 elsewhere, so
+    # mark.find(_INNER) is the smallest member that is not a leaf and
+    # mark.find(_PARTNERED) the smallest member with a partner; near[w]
+    # counts the members adjacent to w
+    mark, near, size = bytearray(n), [0] * n, len(chosen)
+    for v in chosen:
+        if not 0 <= v < n:
+            _refuse_outside(tree, chosen)
+        mark[v] = kind[v]
+        for w in adj[v]:
+            near[w] += 1
 
     non_leaf = mark.find(_INNER)
     if non_leaf >= 0:
@@ -320,34 +312,38 @@ class CriticalFamily(namedtuple("CriticalFamily", "kind params", defaults=((),))
 
 
 def classify_critical_family(tree: TreeCert) -> CriticalFamily:
-    """Match a prime tree against the named families by canonical form.
+    """Match a prime tree against the named families by its leg lengths.
 
-    The one candidate member is read off the support table.  Call a support
-    of degree >= 3 a hub and let pairs = leaves - 2: a tree with at most two
-    leaves can only be the path (the 5-vertex spider included), one with no
-    hub only the spider, and one with one or two hubs whose degrees less 2
-    sum to pairs only Pkt or Pmn on a backbone of n - 2 pairs >= 4 vertices
-    (each support has its own leaf).  Each member has exactly these hubs, and
-    degrees are invariant, so canonical-code equality with it decides.
+    Call a support of degree >= 3 a hub and let pairs = leaves - 2: a tree
+    with at most two leaves is the path (the 5-vertex spider included), one
+    with no hub can only be the spider, and one with one or two hubs whose
+    degrees less 2 sum to pairs only Pkt or Pmn on a backbone of n - 2 pairs
+    >= 4 vertices.  The degrees less 2 of the non-leaves sum to pairs, so in
+    the last two cases every other non-leaf has degree 2 and the tree is its
+    hubs joined by paths.  With no hub, every support has degree 2 and its
+    own leaf, so the tree is the spider exactly when one more vertex joins
+    the supports: n = 2 leaves + 1.  A hub h (with its one leaf) is a hub of
+    the candidate exactly when at least deg(h) - 2 of its neighbors are
+    degree-2 supports, pendant 2-paths: its last neighbor then leads along a
+    path to the other hub or to a leaf.  No canonical code is computed.
     """
     if not tree_is_prime(tree):
         raise GraphError("family classification is defined for prime trees only")
     n, adj = tree.n, tree.graph.adj
     pairs = len(tree.leaves) - 2
-    excess = sorted(len(adj[s]) - 2 for s in tree.supports if len(adj[s]) >= 3)
-    backbone = n - 2 * pairs
     if pairs <= 0:
-        kind, build, params = "Path", path, (n,)
-    elif not excess and n % 2 == 1:
-        kind, build, params = "Spider", spider, ((n - 1) // 2,)
-    elif excess == [pairs]:
-        kind, build, params = "Pkt", pkt, (backbone, pairs)
-    elif len(excess) == 2 and sum(excess) == pairs:
-        kind, build, params = "Pmn", pmn, (backbone, *excess)
-    else:
+        return CriticalFamily("Path", (n,))
+    hubs = [s for s in tree.supports if len(adj[s]) >= 3]
+    if not hubs:
+        if n == 2 * len(tree.leaves) + 1:
+            return CriticalFamily("Spider", ((n - 1) // 2,))
         return CriticalFamily("Other")
-    from .enumeration import canonical_form  # only classification loads the coder
-
-    if canonical_form(tree) != canonical_form(build(*params).cert):
+    excess = sorted(len(adj[h]) - 2 for h in hubs)
+    if len(hubs) > 2 or sum(excess) != pairs:
         return CriticalFamily("Other")
-    return CriticalFamily(kind, params)
+    for h in hubs:
+        legs = sum(1 for w in adj[h] if len(adj[w]) == 2 and tree.leaf_neighbors(w))
+        if legs < len(adj[h]) - 2:
+            return CriticalFamily("Other")
+    kind = "Pkt" if len(hubs) == 1 else "Pmn"
+    return CriticalFamily(kind, (n - 2 * pairs, *excess))

@@ -183,9 +183,15 @@ def _free_level_sequences(n: int) -> Iterator[list[int]]:
             levels[n - h:] = range(1, h + 1)
 
 
-@lru_cache(maxsize=None)
+def _check_count(n: int) -> None:
+    if not isinstance(n, int):
+        raise GraphError(f"vertex count {n!r} is not an integer")
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 5.0 is refused, not served as 5
 def all_tree_codes(n: int) -> tuple[bytes, ...]:
     """Canonical codes of all isomorphism classes of trees on n vertices, sorted."""
+    _check_count(n)
     if not 1 <= n <= CLASS_GUARD:
         raise GraphError(f"tree enumeration supports 1..{CLASS_GUARD} vertices, got {n}")
     codes = []
@@ -240,6 +246,7 @@ def _prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     """Edges (u, v), u < v, in lexicographic order, of the labeled tree on
     0..n-1 with the given sequence (length n-2)."""
+    _check_count(n)
     if n < 2:
         raise GraphError("sequence decoding needs n >= 2")
     if len(seq) != n - 2:
@@ -331,6 +338,7 @@ def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes
     The sequence space splits by first entry into n tasks across at most n
     worker processes; the set union is independent of worker scheduling.
     """
+    _check_count(n)
     if not 1 <= n <= LABELED_GUARD:
         raise GraphError(f"labeled enumeration supports 1..{LABELED_GUARD} vertices, got {n}")
     if n == 1:

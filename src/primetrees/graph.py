@@ -8,7 +8,8 @@ All queries are therefore safe under concurrent reads.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 # Largest `--guard` the CLI accepts (2^24 subsets); read_edge_list refuses
 # a graph past it with too few edges to be connected.
@@ -192,6 +193,17 @@ def certify_tree(graph: Graph) -> TreeCert:
     raise GraphError("not a tree: graph is disconnected")
 
 
+def _blocks(text: str, size: int = 1 << 16) -> Iterator[str]:
+    """`text` cut into pieces of about `size` characters, each but the last
+    ending just after a newline.  No line break spans a cut, so the pieces'
+    `splitlines` together are the text's."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + size) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
 def read_edge_list(text: str) -> tuple[Graph, dict[str, str]]:
     """Parse the edge-list text format.
 
@@ -201,58 +213,63 @@ def read_edge_list(text: str) -> tuple[Graph, dict[str, str]]:
     as annotations.  A count above GUARD_CAP is refused before any per-vertex
     allocation when it exceeds the edge lines + 1 or some vertex id appears in
     no edge line (duplicate or clustered edges): the graph is disconnected and
-    no scan may take it.
+    no scan may take it.  Lines are read a block at a time into one flat
+    list of endpoints, so parsing holds two list slots per edge line (16
+    bytes, plus the endpoint ints past the interpreter's small-int cache).
     """
     annotations: dict[str, str] = {}
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    ends: list[int] = []  # u, v of each edge line in turn
+    put = ends.append
+    lines = chain.from_iterable(map(str.splitlines, _blocks(text)))
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
+        if parts[0][0] == "#":
+            body = raw.strip()[1:].strip()
             if ":" in body:
                 key, _, value = body.partition(":")
                 if key.strip():
                     annotations[key.strip()] = value.strip()
             continue
-        parts = line.split()
         if n is None:
             if len(parts) != 1:
-                raise GraphError(f"line {lineno}: expected vertex count, got {line!r}")
+                raise GraphError(f"line {lineno}: expected vertex count, got {raw.strip()!r}")
             try:
                 n = int(parts[0])
             except ValueError:
                 raise GraphError(f"line {lineno}: vertex count must be an integer") from None
             continue
         if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise GraphError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphError(f"line {lineno}: edge endpoints must be integers") from None
-        edges.append((u, v))
+        put(u)
+        put(v)
     if n is None:
         raise GraphError("missing vertex count line")
+    count = len(ends) // 2
     if n > GUARD_CAP:
-        if n > len(edges) + 1:
+        if n > count + 1:
             raise GraphError(
-                f"vertex count {n} is above the guard cap {GUARD_CAP} with only {len(edges)} "
+                f"vertex count {n} is above the guard cap {GUARD_CAP} with only {count} "
                 f"edge line(s): the graph is disconnected and too large to scan"
             )
         seen = bytearray(n)  # n bytes, at most the edge lines + 1
-        for edge in edges:
-            for w in edge:
-                if 0 <= w < n:
-                    seen[w] = 1
+        for w in ends:
+            if 0 <= w < n:
+                seen[w] = 1
         missing = seen.count(0)
         if missing:
             raise GraphError(
                 f"vertex count {n} is above the guard cap {GUARD_CAP} but {missing} vertex "
                 f"id(s) appear in no edge line: the graph is disconnected and too large to scan"
             )
-    return build_graph(n, edges), annotations
+    it = iter(ends)
+    return build_graph(n, zip(it, it)), annotations
 
 
 def format_edge_list(graph: Graph, annotations: dict[str, str] | None = None) -> str:

@@ -12,14 +12,17 @@ reads the support structure in linear time.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
+from heapq import heappop, heappush, heapreplace
 from itertools import combinations
+from operator import xor as ixor
 
 from .critical import (
     Condition,
     ConditionReport,
-    _leaf_table,
     _other_neighbor,
     _read_members,
+    _refuse_outside,
     _report,
 )
 from .graph import MINIMALITY_GUARD, Graph, GraphError, TreeCert, certify_tree, vertex_set
@@ -132,16 +135,18 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     whose pendant leaf is outside needs degree 2 and a member among that
     leaf's partners, the leaves at distance 2 from the support; only leaves
     of degree-2 supports have partners.  The per-tree facts come from the
-    tree's leaf table and the per-set facts from one pass over `members`
-    (any iterable), so past one n-slot bytearray a call costs O(|X| +
-    leaves) steps.
+    tree's leaf table and the per-set facts from the set of `members` (any
+    iterable), so a call costs O(|X| + leaves) steps, plus sorting the
+    support members.
     """
-    table, mark, _, _ = _read_members(tree, members, False)
+    table, chosen = _read_members(tree, members)
+    if min(chosen) < 0 or max(chosen) >= tree.n:
+        _refuse_outside(tree, chosen)
     failures, partners = table.failures, table.partners
 
     c2 = _C2_HOLDS
     for x, (support, _, _) in table.rows.items():
-        if not (mark[x] or mark[support]):
+        if x not in chosen and support not in chosen:
             key = ("uncovered leaf", x)
             c2 = failures.get(key) or failures.setdefault(
                 key,
@@ -150,8 +155,9 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
             break
 
     c3 = _C3_HOLDS
-    for xi, leaf in table.pendant.items():
-        if not mark[xi] or mark[leaf] or any(mark[y] for y in partners.get(leaf, ())):
+    for xi in sorted(chosen.intersection(table.pendant)):
+        leaf = table.pendant[xi]
+        if leaf in chosen or not chosen.isdisjoint(partners.get(leaf, ())):
             continue
         key = ("support member", xi)
         c3 = failures.get(key) or failures.setdefault(
@@ -166,46 +172,69 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     return _report(((table.leaf_distance, c2, c3),))
 
 
-def _pair_deletion_is_prime(tree: TreeCert, leaf: int) -> bool:
-    """Whether deleting a leaf of a prime tree together with its support
-    leaves a prime tree.
+class _SingleSteps:
+    """The unpinned leaves that may be single extraction steps, on input
+    ids; `pop` returns the smallest one whose deletion the partner rule
+    allows, or None.
 
-    The remainder is a tree exactly when the support s has degree 2, and has
-    at least four vertices exactly when n >= 6.  Every other leaf keeps its
-    support; the only new leaf can be s's other neighbor w, when deg(w) = 2,
-    and the remainder is then prime exactly when w's other neighbor is not
-    already a support.
+    Leaves are checked lazily, when they reach the top.  A leaf with a
+    partner (its support s has degree 2 and s's other neighbor w has a
+    leaf) is parked in w's group, and `wake(w)`, called when w loses that
+    leaf, queues the whole group again as one entry keyed by its smallest
+    member.  So a hub that gains and loses a leaf many times costs one entry
+    each time, not one per leaf that waits on it.  Heap entries are key *
+    stride + tag: tag 0 is the leaf `key`, tag w + 1 the group parked at w.
+    `keys` holds the key of each group's queued entry, its smallest member;
+    a group gains members only while w has a leaf, so an entry whose key
+    is no longer there is stale and is dropped when popped.
     """
-    support, degree, _ = _leaf_table(tree).rows[leaf]
-    if tree.n < 6 or degree != 2:
-        return False
-    w = _other_neighbor(tree, support, leaf)
-    return tree.graph.degree(w) >= 3 or not tree.leaf_neighbors(_other_neighbor(tree, w, support))
 
+    __slots__ = ("heap", "stride", "groups", "keys")
 
-def _find_deletion(
-    cert: TreeCert, idmap: tuple[int, ...], pinned: set[int]
-) -> tuple[int, ...] | None:
-    """One legal shrink step of the prime tree `cert`, whose vertex i is
-    vertex idmap[i] of the input: a single vertex, else a leaf-support pair,
-    in cert's ids.
+    def __init__(self, leaves: list[int], stride: int):
+        self.heap = [x * stride for x in leaves]  # increasing, so a heap
+        self.stride = stride
+        self.groups: dict[int, list[int]] = {}
+        self.keys: dict[int, int] = {}
 
-    A step removes vertices outside the pinned set and leaves a prime tree.
-    Deleting an internal vertex disconnects, so the single-vertex step takes
-    the first unpinned leaf without a partner in the leaf table.  Single
-    deletions alone can stall before minimality (a pendant 2-path can be
-    removable only as a whole), so leaf-support pairs that the pair rule
-    lets go back them up.  Leaves are scanned in increasing id order.
-    """
-    partners = _leaf_table(cert).partners
-    for leaf in cert.leaves:
-        if idmap[leaf] not in pinned and leaf not in partners:
-            return (leaf,)
-    for leaf in cert.leaves:
-        pair = (leaf, cert.support_of(leaf))
-        if pinned.isdisjoint(idmap[v] for v in pair) and _pair_deletion_is_prime(cert, leaf):
-            return pair
-    return None
+    def push(self, x: int) -> None:
+        heappush(self.heap, x * self.stride)
+
+    def wake(self, w: int) -> None:
+        group = self.groups.get(w)
+        if group and group[0] < self.keys.get(w, self.stride):
+            self.keys[w] = group[0]
+            heappush(self.heap, group[0] * self.stride + w + 1)
+
+    def pop(self, deg: list[int], xor: list[int], pend: list[int]) -> int | None:
+        heap, stride, groups, keys = self.heap, self.stride, self.groups, self.keys
+        while heap:
+            x, tag = divmod(heap[0], stride)
+            if not tag:
+                heappop(heap)
+            elif keys.get(tag - 1) != x or pend[tag - 1] >= 0:
+                # stale, or w has a leaf again and wake(w) queues the group
+                if keys.get(tag - 1) == x:
+                    del keys[tag - 1]
+                heappop(heap)
+                continue
+            else:
+                group = groups[tag - 1]
+                x = heappop(group)  # the key itself
+                if group:
+                    keys[tag - 1] = group[0]
+                    heapreplace(heap, group[0] * stride + tag)
+                else:
+                    del keys[tag - 1]
+                    heappop(heap)
+            if deg[x] != 1:
+                continue  # deleted by a pair step
+            s = xor[x]
+            if deg[s] == 2 and pend[xor[s] ^ x] >= 0:
+                heappush(groups.setdefault(xor[s] ^ x, []), x)
+                continue
+            return x
+        return None
 
 
 def extract_minimal_subtree(tree: TreeCert, members) -> tuple[TreeCert, tuple[int, ...]]:
@@ -214,20 +243,85 @@ def extract_minimal_subtree(tree: TreeCert, members) -> tuple[TreeCert, tuple[in
     Returns the subtree plus the id remap (new id -> id in the input tree).
     The result contains the set, is prime, and passes the minimality
     conditions (or is the 4-vertex path, which is minimal for everything).
-    Each step certifies the current subtree once; the last one's leaf table
-    also answers the closing self-check.
+
+    A step removes vertices outside the set and leaves a prime tree.
+    Deleting an internal vertex disconnects, so a single step takes the
+    unpinned leaf with the smallest id whose deletion the partner rule of
+    the leaf table allows: its support s has degree >= 3, or s's other
+    neighbor w has no leaf.  Single steps alone can stall before minimality
+    (a pendant 2-path can be removable only as a whole), so when none is
+    left the step takes the first leaf x, by id, whose pair {x, s} is
+    unpinned and may go.  Every unpinned leaf then has a partner, so deg(s)
+    = 2 and w has a leaf; on n >= 6 vertices that makes deg(w) >= 3, and
+    T - {x, s} keeps every other vertex's role, so it is prime.  The pair
+    step is therefore the first unpinned leaf with an unpinned support, a
+    leaf that fails this never passes later, and a pair step makes no new
+    leaf.
+
+    Degrees, the XOR of each vertex's live neighbors (a degree-2 vertex's
+    other neighbor is one XOR away) and each support's leaf live on the
+    input ids, and each step kind keeps a heap of candidate leaves, checked
+    when popped.  A single step at support s changes degrees and roles only
+    at s and, when s becomes a leaf, at its one neighbor, and the partner
+    rule reads at most three edges from its leaf, so only leaves within
+    distance 3 of s can change verdict.  Of those, only the new leaf s and
+    the leaves whose partner was s's leaf can become deletable, and only
+    they are queued again (`_SingleSteps`); leaves that gain a partner stay
+    queued and are checked again when popped.  The result is certified
+    once, and its leaf table answers the closing self-check.
     """
     if not tree_is_prime(tree):
         raise GraphError("extraction needs a prime tree")
-    pinned = set(vertex_set(members))
-    for v in pinned:
+    n, adj = tree.n, tree.graph.adj
+    pin = bytearray(n)
+    for v in vertex_set(members):
         tree.graph.check_vertex(v)
-    cert, idmap = tree, tuple(range(tree.n))
-    while (step := _find_deletion(cert, idmap, pinned)) is not None:
-        remainder, kept = cert.graph.without(step)
-        cert, idmap = certify_tree(remainder), tuple(idmap[v] for v in kept)
+        pin[v] = 1
+    deg = list(map(len, adj))
+    xor = [reduce(ixor, nbrs, 0) for nbrs in adj]
+    pend = [-1] * n
+    for x in tree.leaves:
+        pend[adj[x][0]] = x
+    free = [x for x in tree.leaves if not pin[x]]
+    singles, pairs = _SingleSteps(free, n + 1), free[:]
+    size = n
+    while True:
+        x = singles.pop(deg, xor, pend)
+        if x is not None:
+            s = xor[x]
+            deg[x], size = 0, size - 1
+            deg[s] -= 1
+            xor[s] ^= x
+            pend[s] = -1
+            singles.wake(s)
+            if deg[s] == 1:
+                pend[xor[s]] = s
+                if not pin[s]:
+                    singles.push(s)
+                    heappush(pairs, s)
+            continue
+        if size < 6:
+            break
+        while pairs:
+            x = heappop(pairs)
+            if deg[x] == 1 and not pin[xor[x]]:
+                break
+        else:
+            break
+        s = xor[x]
+        w = xor[s] ^ x
+        deg[x] = deg[s] = 0
+        size -= 2
+        deg[w] -= 1
+        xor[w] ^= s
+
+    if size == n:
+        cert, idmap = tree, tuple(range(n))
+    else:
+        sub, idmap = tree.graph.induced_subgraph([v for v in range(n) if deg[v]])
+        cert = certify_tree(sub)
     if cert.n > 4:
-        inner = [new for new, orig in enumerate(idmap) if orig in pinned]
+        inner = [new for new, orig in enumerate(idmap) if pin[orig]]
         if not inner or not check_minimal_set(cert, inner).overall:
             raise RuntimeError("extraction stopped at a non-minimal subtree")
     return cert, idmap

@@ -305,7 +305,7 @@ COMMAND_LOADS = [
     ([], []),
     (["prime", "{tree}"], [*_CLI, "modules"]),
     (["sigma", "{tree}"], _CRITICAL),
-    (["classify-critical", "{tree}"], [*_CRITICAL, "enumeration"]),
+    (["classify-critical", "{tree}"], _CRITICAL),
     (["check-minimal", "{tree}", "--set", "4,5", "--brute"], [*_CRITICAL, "minimal"]),
     (["extract-minimal", "{tree}", "--set", "4"], [*_CRITICAL, "minimal"]),
     (["gen", "--family", "A", "--params", "3"], _CRITICAL),

@@ -336,6 +336,8 @@ def test_prufer_decode_rejections():
     for entry in (1.0, "a", None):
         with pytest.raises(GraphError, match="not an integer"):
             prufer_decode((entry,), 3)
+    with pytest.raises(GraphError, match="vertex count 3.0 is not an integer"):
+        prufer_decode((0,), 3.0)
 
 
 def test_guards():
@@ -345,6 +347,11 @@ def test_guards():
         labeled_tree_class_codes(10)
     with pytest.raises(GraphError):
         all_tree_codes(0)
+    all_tree_codes(5)  # cached: the float must still be refused
+    with pytest.raises(GraphError, match="vertex count 5.0 is not an integer"):
+        all_tree_codes(5.0)
+    with pytest.raises(GraphError, match="vertex count 4.0 is not an integer"):
+        labeled_tree_class_codes(4.0)
 
 
 def test_count_by_predicate():

@@ -1,11 +1,13 @@
-"""Extraction, which carries one certificate and reads its leaf table, against
-a local copy of the greedy it replaced, which re-induces the subtree from the
-input on every step: the same subtree and id map on every prime tree with
-4 <= n <= 9 and every pinned subset, and on random prime trees with random
-pinned sets.  A faster extraction must keep this greedy order."""
+"""Extraction, a worklist on the input ids, against a local copy of the greedy
+it replaced, which re-induces and certifies the subtree on every step and
+tests each pair step by definition: the same subtree and id map on every
+prime tree with 4 <= n <= 9 and every pinned subset, on random prime trees
+with random pinned sets, and on seeded relabeled family members up to about
+300 vertices.  A faster extraction must keep this greedy order."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -14,12 +16,19 @@ from hypothesis import strategies as st
 from conftest import prime_trees
 from primetrees.critical import unique_module_of_leaf_deletion
 from primetrees.enumeration import all_trees
-from primetrees.graph import Graph, TreeCert, certify_tree
-from primetrees.minimal import _pair_deletion_is_prime, extract_minimal_subtree
+from primetrees.families import path, pkt, pmn, spider
+from primetrees.graph import Graph, TreeCert, as_tree, build_graph, certify_tree
+from primetrees.minimal import extract_minimal_subtree
 from primetrees.modules import tree_is_prime
 
 # ---------------------------------------------------------------------------
 # oracle: the greedy on input ids, re-inducing and re-certifying every step
+
+
+def _pair_deletion_is_prime(cert: TreeCert, leaf: int) -> bool:
+    """By definition: T - {leaf, its support} is a tree, and a prime one."""
+    rest = as_tree(cert.graph.without((leaf, cert.support_of(leaf)))[0])
+    return rest is not None and tree_is_prime(rest)
 
 
 def _oracle_step(graph: Graph, keep: set[int], pinned: set[int]) -> set[int] | None:
@@ -71,3 +80,34 @@ def test_extraction_matches_the_oracle_on_every_pinned_subset():
 def test_extraction_matches_the_oracle_on_random_prime_trees(tree, data):
     pinned = data.draw(st.sets(st.integers(0, tree.n - 1), max_size=6), label="pinned")
     assert _extracted(tree, pinned) == extraction_oracle(tree, pinned)
+
+
+def _long_legged_spider(legs: int) -> TreeCert:
+    """A center with `legs` legs of three edges: its leaves wait on pair
+    steps, blocked while the center has a leaf of its own."""
+    edges = []
+    for i in range(legs):
+        a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(0, a), (a, b), (b, c)]
+    return certify_tree(build_graph(3 * legs + 1, edges))
+
+
+def test_extraction_matches_the_oracle_on_relabeled_family_members():
+    rng = random.Random(2021)
+    members = [
+        path(300).cert, spider(150).cert, pkt(150, 75).cert, pmn(100, 50, 50).cert,
+        spider(40).cert, pmn(9, 3, 30).cert, _long_legged_spider(100), _long_legged_spider(12),
+    ]
+    cases = 0
+    for tree in members:
+        for relabeled in (False, True):
+            if relabeled:
+                perm = list(range(tree.n))
+                rng.shuffle(perm)
+                edges = [(perm[u], perm[v]) for u, v in tree.graph.edges()]
+                tree = certify_tree(build_graph(tree.n, edges))
+            for size in (0, 1, 2, 3, 5):
+                pinned = rng.sample(range(tree.n), size)
+                assert _extracted(tree, pinned) == extraction_oracle(tree, pinned), (tree, pinned)
+                cases += 1
+    assert cases == 80

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
-from itertools import combinations
+import tracemalloc
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import simple_graphs
 import primetrees.graph
@@ -15,6 +17,7 @@ from primetrees.graph import (
     format_edge_list,
     read_edge_list,
 )
+from primetrees.graph import _blocks
 
 
 def p4():
@@ -188,6 +191,28 @@ def test_edge_list_refuses_oversized_header_before_allocating(monkeypatch):
         assert body.count("\n") == n - 1
         with pytest.raises(GraphError, match="guard cap.*appear in no edge line"):
             read_edge_list(f"{n}\n{body}")
+
+
+def test_edge_list_parse_holds_a_few_bytes_per_edge_line():
+    lines = 300_000
+    text = f"{lines + 1}\n" + "0 1\n" * lines
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="appear in no edge line"):
+            read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two list slots per line plus one block of lines; a list of every line
+    # and a tuple per edge took about 125 bytes per line
+    assert peak / lines < 32
+
+
+@given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x85\u2028", max_size=40), st.integers(1, 6))
+def test_edge_list_blocks_keep_the_line_breaks(text, size):
+    pieces = list(_blocks(text, size))
+    assert "".join(pieces) == text
+    assert list(chain.from_iterable(map(str.splitlines, pieces))) == text.splitlines()
 
 
 def test_edge_list_keeps_small_or_edge_backed_headers():

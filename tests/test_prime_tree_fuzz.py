@@ -1,4 +1,4 @@
-"""Leaf rules, the pair rule and both checkers on random prime trees past the
+"""Leaf rules and both checkers on random prime trees past the
 exhaustive ranges (the trees of `conftest.prime_trees`)."""
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from primetrees.critical import (
     noncritical_vertices,
     unique_module_of_leaf_deletion,
 )
-from primetrees.graph import as_tree, certify_tree, vertex_set
-from primetrees.minimal import _pair_deletion_is_prime, check_minimal_set
+from primetrees.graph import certify_tree, vertex_set
+from primetrees.minimal import check_minimal_set
 from primetrees.modules import tree_is_prime, tree_module_witness
 
 
@@ -30,11 +30,6 @@ def test_leaf_rules_and_checkers_on_random_prime_trees(tree, data):
         expected = None if witness is None else vertex_set(idmap[v] for v in witness.members)
         rule = unique_module_of_leaf_deletion(tree, x)
         assert (None if rule is None else rule.members) == expected
-        # pair rule against certifying T - {x, support}; a non-tree is not prime
-        pair_remainder = as_tree(tree.graph.without({x, tree.support_of(x)})[0])
-        assert _pair_deletion_is_prime(tree, x) == (
-            pair_remainder is not None and tree_is_prime(pair_remainder)
-        )
 
     assert check_noncritical_set(tree, sigma).overall
     other = data.draw(st.sets(st.integers(0, tree.n - 1), min_size=1), label="X")
