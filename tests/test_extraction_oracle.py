@@ -3,7 +3,8 @@ it replaced, which re-induces and certifies the subtree on every step and
 tests each pair step by definition: the same subtree and id map on every
 prime tree with 4 <= n <= 9 and every pinned subset, on random prime trees
 with random pinned sets, and on seeded relabeled family members up to about
-300 vertices.  A faster extraction must keep this greedy order."""
+300 vertices; and the radius of a step's effect that the worklist relies
+on.  A faster extraction must keep this greedy order."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import prime_trees
-from primetrees.critical import unique_module_of_leaf_deletion
+from primetrees.critical import _leaf_table, unique_module_of_leaf_deletion
 from primetrees.enumeration import all_trees
 from primetrees.families import path, pkt, pmn, spider
 from primetrees.graph import Graph, TreeCert, as_tree, build_graph, certify_tree
@@ -82,9 +83,47 @@ def test_extraction_matches_the_oracle_on_random_prime_trees(tree, data):
     assert _extracted(tree, pinned) == extraction_oracle(tree, pinned)
 
 
+def _distances(graph: Graph, source: int) -> list[int]:
+    dist = [-1] * graph.n
+    dist[source] = 0
+    queue = [source]
+    for v in queue:
+        for w in graph.adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+@settings(max_examples=100, deadline=None)
+@given(prime_trees())
+def test_a_single_step_changes_verdicts_only_near_its_support(tree):
+    # the radius the worklist relies on: deleting a deletable leaf x with
+    # support s changes the verdict of leaves within distance 3 of s only,
+    # and the leaves it makes deletable are s itself and the leaves whose
+    # partner was x
+    partners = _leaf_table(tree).partners
+    for x in tree.leaves:
+        if x in partners:
+            continue
+        s = tree.support_of(x)
+        dist = _distances(tree.graph, s)
+        rest, idmap = tree.graph.without({x})
+        after = certify_tree(rest)
+        partners_after = _leaf_table(after).partners
+        for new in after.leaves:
+            y = idmap[new]
+            was = tree.graph.degree(y) == 1 and y not in partners
+            now = new not in partners_after
+            if was != now:
+                assert dist[y] <= 3, (x, y)
+            if now and not was:
+                assert y == s or partners.get(y) == (x,), (x, y)
+
+
 def _long_legged_spider(legs: int) -> TreeCert:
-    """A center with `legs` legs of three edges: its leaves wait on pair
-    steps, blocked while the center has a leaf of its own."""
+    """A center with `legs` legs of three edges, a prime tree outside the
+    named families."""
     edges = []
     for i in range(legs):
         a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
@@ -106,8 +145,8 @@ def test_extraction_matches_the_oracle_on_relabeled_family_members():
                 rng.shuffle(perm)
                 edges = [(perm[u], perm[v]) for u, v in tree.graph.edges()]
                 tree = certify_tree(build_graph(tree.n, edges))
-            for size in (0, 1, 2, 3, 5):
+            for size in (0, 2, 5):
                 pinned = rng.sample(range(tree.n), size)
                 assert _extracted(tree, pinned) == extraction_oracle(tree, pinned), (tree, pinned)
                 cases += 1
-    assert cases == 80
+    assert cases == 48
