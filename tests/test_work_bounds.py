@@ -2,11 +2,13 @@
 byte encodings per enumeration, decodings and centroid steps per labeled
 sweep, canonical codes per classification, per-tree facts per
 characterization check, subtree lists per minimality scan and certificates
-per extraction; and on the canonical coder's memory."""
+per extraction, and heap work per extraction; and on the canonical coder's
+memory."""
 
 from __future__ import annotations
 
 import concurrent.futures
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -195,6 +197,35 @@ def test_extraction_certifies_one_subtree_per_applied_step(monkeypatch):
     extract_minimal_subtree(path(40).cert, (0, 39))
     # nothing to delete: the input is returned as it is
     assert calls == []
+
+
+def test_extraction_queues_linear_work_on_a_relabeled_spider(monkeypatch):
+    calls = []
+    push, pop = minimal.heappush, minimal.heappop
+
+    def counted_push(heap, item):
+        calls.append("push")
+        push(heap, item)
+
+    def counted_pop(heap):
+        calls.append("pop")
+        return pop(heap)
+
+    monkeypatch.setattr(minimal, "heappush", counted_push)
+    monkeypatch.setattr(minimal, "heappop", counted_pop)
+    m = 2000
+    tree = spider(m).cert
+    perm = list(range(tree.n))
+    random.Random(7).shuffle(perm)
+    tree = certify_tree(build_graph(tree.n, [(perm[u], perm[v]) for u, v in tree.graph.edges()]))
+    sub, _ = extract_minimal_subtree(tree, (perm[m + 1], perm[m + 2]))
+    assert sub.n == 5
+    # each deleted leg makes its middle vertex a leaf of the centre, which
+    # partners every other leaf until it goes too; the leaves that wait on
+    # the centre are queued again as one group, not one by one, so the heap
+    # work stays about 2n, not about n^2 / 4
+    assert calls.count("push") <= 2 * tree.n
+    assert calls.count("pop") <= 2 * tree.n
 
 
 def test_canonical_code_of_a_deep_path_keeps_linear_memory():
