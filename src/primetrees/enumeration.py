@@ -38,31 +38,39 @@ _Names = dict[int, int]  # AHU names: product of the children's name primes -> i
 # canonical codes
 
 
-def _canonical_from_parents(parent: list[int], order: list[int] | range) -> bytes:
-    """The code rooted at the centroid, or the smaller of the two rooted codes
-    of a bicentroidal tree, from a parent array (-1 at the root) and an order
-    that lists every vertex after its children.
-
-    Centroid rule: in such an order, the first vertex whose subtree holds at
-    least half the tree is a centroid, `low`; when it holds exactly half, its
-    parent is the other centroid.  The subtrees off the path from `low` up to
-    the root are encoded bottom-up, then the path top-down, each vertex with
-    the part above it as one more child.  A finished code waits in its
-    parent's pending list, cleared once the parent is encoded, so the live
-    codes belong to disjoint subtrees and take O(n) bytes; copying codes into
-    their parents costs O(n · height).
-    """
+def _centroid(parent: list[int], order: list[int] | range) -> tuple[int, bool]:
+    """The centroid rule, for a parent array (-1 at the root) and an order
+    that lists every vertex after its children: the first vertex in that
+    order whose subtree holds at least half the tree is a centroid, `low`.
+    Returns it and whether it holds exactly half; then low's parent is the
+    other centroid."""
     n = len(parent)
     size = [1] * n
     for low in order:
         if 2 * size[low] >= n:
             break
         size[parent[low]] += size[low]
+    return low, 2 * size[low] == n
+
+
+def _canonical_from_parents(parent: list[int], order: list[int] | range) -> bytes:
+    """The code rooted at the centroid, or the smaller of the two rooted codes
+    of a bicentroidal tree, from a parent array (-1 at the root) and an order
+    that lists every vertex after its children.
+
+    The subtrees off the path from the centroid `low` (`_centroid`) up to
+    the root are encoded bottom-up, then the path top-down, each vertex with
+    the part above it as one more child.  A finished code waits in its
+    parent's pending list, cleared once the parent is encoded, so the live
+    codes belong to disjoint subtrees and take O(n) bytes; copying codes
+    into their parents costs O(n · height).
+    """
+    low, halves = _centroid(parent, order)
     path = [low]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
     on_path = set(path)
-    kids: list[list[bytes]] = [[] for _ in range(n)]
+    kids: list[list[bytes]] = [[] for _ in parent]
     for v in order:
         if v not in on_path:
             k = kids[v]
@@ -83,7 +91,7 @@ def _canonical_from_parents(parent: list[int], order: list[int] | range) -> byte
             k.clear()
     k = kids[low]
     code = b"".join((b"1", *sorted(k + up), b"0"))
-    if 2 * size[low] == n:  # low's parent, the other centroid, takes low's half
+    if halves:  # low's parent, the other centroid, takes low's half
         k.sort()
         above = kids[path[1]]
         above.append(b"".join((b"1", *k, b"0")))
@@ -279,18 +287,12 @@ def _centroid_key(parent: list[int], order: list[int], prod: list[int], names: _
     the product of primes[name] over v's children: by unique factorisation it
     fixes their multiset of names, and a product of two primes fixes the pair
     and is never a prime, so equal keys mean isomorphic trees.  The centroid
-    is found by the rule in `_canonical_from_parents`; only the path from the
-    (upper) centroid to the root is renamed, each vertex on it dividing out
-    the prime of its old child on the path and multiplying in that of the
-    part above it."""
-    n = len(parent)
+    comes from `_centroid`; only the path from the (upper) centroid to the
+    root is renamed, each vertex on it dividing out the prime of its old
+    child on the path and multiplying in that of the part above it."""
     primes = _primes()
-    size = [1] * n
-    for low in order:
-        if 2 * size[low] >= n:
-            break
-        size[parent[low]] += size[low]
-    cent = low if 2 * size[low] > n else parent[low]
+    low, halves = _centroid(parent, order)
+    cent = parent[low] if halves else low
     # (vertex, old child dropped from its children) from cent up to the root
     path = [(cent, low if cent != low else -1)]
     while parent[path[-1][0]] >= 0:

@@ -109,18 +109,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a simple graph on vertices 0..n-1; duplicate edges collapse.
 
     Rejects self-loops and out-of-range endpoints, naming the offending edge.
+    Neighbors gather in lists, not sets (about 216 bytes even for a leaf).
     """
     if n < 0:
         raise GraphError(f"vertex count must be >= 0, got {n}")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if u == v:
             raise GraphError(f"self-loop ({u}, {v}) not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return Graph(n, tuple(tuple(sorted(set(ws))) if len(ws) > 1 else tuple(ws) for ws in nbrs))
 
 
 class TreeCert:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import reduce
 from heapq import heappop, heappush, heapreplace
-from itertools import combinations
 from operator import xor as ixor
 
 from .critical import (
@@ -330,9 +329,11 @@ def extract_minimal_subtree(tree: TreeCert, members) -> tuple[TreeCert, tuple[in
 def is_k_minimal(tree: TreeCert, k: int) -> bool:
     """Minimal for some k-element vertex set.
 
-    The 4-vertex prime tree is minimal for every subset.  Above that, each
-    leaf needs itself or its support picked, and those pairs are disjoint in
-    a prime tree, so more leaves than k rules the tree out before scanning.
+    The 4-vertex prime tree is minimal for every subset.  Above that, it is
+    exactly leaves <= k <= n: condition 2 of `check_minimal_set` needs each
+    leaf or its support in X, and those pairs are disjoint in a prime tree;
+    conversely, an X holding every leaf passes condition 2 and makes
+    condition 3 vacuous, and condition 1 holds in every prime tree.
     """
     if k < 0:
         raise GraphError(f"k must be >= 0, got {k}")
@@ -340,12 +341,7 @@ def is_k_minimal(tree: TreeCert, k: int) -> bool:
         return False
     if tree.n == 4:
         return k <= 4
-    if len(tree.leaves) > k:
-        return False
-    return any(
-        check_minimal_set(tree, chosen).overall
-        for chosen in combinations(range(tree.n), k)
-    )
+    return len(tree.leaves) <= k <= tree.n
 
 
 class MinimalForm(namedtuple("MinimalForm", "kind params", defaults=((),))):

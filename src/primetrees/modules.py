@@ -7,8 +7,9 @@ modules are all trivial is prime, otherwise decomposable.
 
 Two independent routes are kept side by side on purpose: a subset-scan brute
 force that works on any small graph, and the leaf-distance criterion that
-works only on trees.  Each is the oracle for the other in the test suite, so
-neither may be rewritten in terms of the other.
+works only on trees.  The scan is the criterion's oracle, so neither may be
+rewritten in terms of the other; `tests/test_ledger.py` states this pairing
+with every other and checks that no route calls its own oracle.
 """
 
 from __future__ import annotations
@@ -79,9 +80,8 @@ def find_nontrivial_module(
     graph: Graph, guard: int = BRUTE_FORCE_GUARD
 ) -> ModuleWitness | None:
     """First nontrivial module in the fixed search order, or None if prime-like."""
-    for members in iter_nontrivial_modules(graph, guard):
-        return ModuleWitness(members)
-    return None
+    members = next(iter_nontrivial_modules(graph, guard), None)
+    return None if members is None else ModuleWitness(members)
 
 
 def is_prime_brute_force(graph: Graph, guard: int = BRUTE_FORCE_GUARD) -> bool:

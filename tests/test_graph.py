@@ -209,6 +209,22 @@ def test_edge_list_parse_holds_a_few_bytes_per_edge_line():
     assert peak < 24 * lines + 2**21
 
 
+def test_edge_list_parse_of_a_long_path_builds_no_set_per_vertex():
+    n = 10**5
+    text = f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+    tracemalloc.start()
+    try:
+        graph, _ = read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count == n - 1
+    # about 23 MB: the endpoint list, a short neighbor list per vertex and
+    # the finished Graph; a set per vertex (about 216 bytes even for a leaf)
+    # took about 36 MB
+    assert peak < 28_000_000
+
+
 @given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x85\u2028", max_size=40), st.integers(1, 6))
 def test_edge_list_blocks_keep_the_line_breaks(text, size):
     pieces = list(_blocks(text, size))

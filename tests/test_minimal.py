@@ -93,20 +93,6 @@ def test_condition_3_failure():
     assert not cond3.holds and cond3.witness == (1,)
 
 
-def test_conditions_match_brute_force_on_samples():
-    for tree, chosen in [
-        (p(5), (1, 3)),
-        (p(5), (0, 3)),
-        (p(5), (0, 2, 4)),
-        (p(6), (0, 5)),
-        (p(6), (0, 1, 5)),
-        (skmn(2, 2, 2).cert, (2, 4, 6)),
-    ]:
-        assert check_minimal_set(tree, chosen).overall == is_minimal_brute_force(
-            tree, chosen
-        )
-
-
 def test_checker_rejects_small_or_empty():
     with pytest.raises(GraphError, match=">= 5"):
         check_minimal_set(p(4), (0,))
@@ -213,6 +199,18 @@ def test_is_k_minimal():
     assert not is_k_minimal(skmn(2, 2, 2).cert, 2)
     star = certify_tree(build_graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert not is_k_minimal(star, 3)
+
+
+def test_is_k_minimal_matches_the_definition_on_every_small_tree():
+    # the definition: some k-subset passes the subtree scan; a decomposable
+    # tree is minimal for nothing
+    for n in range(1, 11):
+        for tree in all_trees(n):
+            sizes = set()
+            if tree_is_prime(tree):
+                sizes = {len(c) for c in _all_subsets(n) if is_minimal_brute_force(tree, c)}
+            for k in range(n + 2):
+                assert is_k_minimal(tree, k) == (k in sizes), (tree.graph.edges(), k)
 
 
 def test_small_k_minimal_trees_are_paths():

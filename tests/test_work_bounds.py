@@ -1,9 +1,9 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
 byte encodings per enumeration, decodings and centroid steps per labeled
 sweep, canonical codes per classification, per-tree facts per
-characterization check, subtree lists per minimality scan and certificates
-per extraction, and heap work per extraction; and on the canonical coder's
-memory."""
+characterization check, subtree lists per minimality scan, sets checked per
+k-minimality test and certificates per extraction, and heap work per
+extraction; and on the canonical coder's memory."""
 
 from __future__ import annotations
 
@@ -177,6 +177,24 @@ def test_minimality_scan_lists_the_subtrees_once_per_tree(monkeypatch):
     # every subset's witness search reads one list, built on the first call
     assert minimal_sets > 0
     assert calls == [tree.n]
+
+
+def test_k_minimality_checks_no_vertex_set(monkeypatch):
+    def refuse(name):
+        # fails at the first call: a subset scan of path(60) at k = 30 would
+        # check about C(58, 29) sets before it reached a passing one
+        def checked(tree, members, *args):
+            raise AssertionError(f"{name} called on n = {tree.n}")
+
+        return checked
+
+    for name in ("check_minimal_set", "is_minimal_brute_force"):
+        monkeypatch.setattr(minimal, name, refuse(name))
+    # the verdict is read off the leaf count, with no call of either checker
+    for member in (pmn(40, 5, 9), spider(50), path(60)):
+        tree = member.cert
+        for k in range(tree.n + 2):
+            assert minimal.is_k_minimal(tree, k) == (len(tree.leaves) <= k <= tree.n)
 
 
 def test_extraction_certifies_one_subtree_per_applied_step(monkeypatch):
