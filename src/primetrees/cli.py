@@ -185,25 +185,20 @@ def _condition_lines(conditions: list[dict] | None, skipped: str) -> list[str]:
 
 
 def _cmd_prime(args) -> Outcome:
-    from .modules import (
-        find_nontrivial_module,
-        is_prime_brute_force,
-        tree_is_prime,
-        tree_module_witness,
-    )
+    from .modules import find_nontrivial_module, tree_module_witness
 
     graph, _ = _load_graph(args.file)
     tree = as_tree(graph)
+    # one witness search: below 4 vertices no graph is prime, from 4 on a
+    # graph is prime exactly when it has no nontrivial module
     if tree is not None:
-        verdict = tree_is_prime(tree)
-        witness = None if verdict else tree_module_witness(tree)
+        witness = tree_module_witness(tree)
     else:
-        verdict = is_prime_brute_force(graph, args.guard)
-        witness = None if verdict else find_nontrivial_module(graph, args.guard)
+        witness = find_nontrivial_module(graph, args.guard)
     rec = {
         "command": "prime",
         "n": graph.n,
-        "prime": verdict,
+        "prime": graph.n >= 4 and witness is None,
         "witness": None if witness is None else list(witness.members),
     }
     lines = [f"n: {rec['n']}", f"prime: {str(rec['prime']).lower()}"]

@@ -16,8 +16,8 @@ sequences and names each subtree (Aho, Hopcroft and Ullman 1974): its key is
 the product of primes[name] over its children, interned to a small int.  By
 unique factorisation the product fixes the multiset of child names, so equal
 names mean isomorphic rooted trees, with no sort and no tuple.  The sweep
-keys each tree by its name rooted at n-1, re-roots at the centroid once per
-rooted key, and encodes to bytes once per class.
+names each tree rooted at n-1 and encodes it with the one byte coder only
+when that rooted name is new, so at most once per rooted tree.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .graph import GraphError, TreeCert, build_graph, certify_tree
 
 CLASS_GUARD = 18
 LABELED_GUARD = 9
-_Names = dict[int, int]  # AHU names: product of the children's name primes -> int
 
 
 # ---------------------------------------------------------------------------
@@ -281,43 +280,16 @@ def _primes() -> tuple[int, ...]:
     return tuple(p for p in range(2, top) if sieve[p])
 
 
-def _centroid_key(parent: list[int], order: list[int], prod: list[int], names: _Names) -> int:
-    """primes[name] of the centroid-rooted tree, or the product of the two
-    half-tree primes of a bicentroidal one.  prod[v], the key of v's name, is
-    the product of primes[name] over v's children: by unique factorisation it
-    fixes their multiset of names, and a product of two primes fixes the pair
-    and is never a prime, so equal keys mean isomorphic trees.  The centroid
-    comes from `_centroid`; only the path from the (upper) centroid to the
-    root is renamed, each vertex on it dividing out the prime of its old
-    child on the path and multiplying in that of the part above it."""
-    primes = _primes()
-    low, halves = _centroid(parent, order)
-    cent = parent[low] if halves else low
-    # (vertex, old child dropped from its children) from cent up to the root
-    path = [(cent, low if cent != low else -1)]
-    while parent[path[-1][0]] >= 0:
-        u = path[-1][0]
-        path.append((parent[u], u))
-    up = 1  # primes[name] of the part above the vertex being renamed
-    for u, below in reversed(path):
-        k = prod[u] * up
-        if below >= 0:
-            k //= primes[names[prod[below]]]
-        up = primes[names.setdefault(k, len(names))]
-    return up if cent == low else up * primes[names[prod[low]]]
-
-
 def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
     """Canonical codes of all labeled trees whose sequence starts with `prefix`:
-    each tree is named rooted at n-1, the first tree of each rooted name is
-    re-rooted at its centroid, and one representative per centroid key is
-    encoded to bytes."""
+    each tree is named rooted at n-1, and the first tree of each rooted name
+    is encoded to bytes."""
     n, prefix = task
-    names: _Names = {1: 0}
+    names = {1: 0}  # product of the children's name primes -> name
     get = names.get
     primes = _primes()
     rooted_seen: set[int] = set()
-    reps: dict[int, tuple[list[int], list[int]]] = {}
+    codes: set[bytes] = set()
     for tail in product(range(n), repeat=(n - 2) - len(prefix)):
         parent, order = _prufer_parents(prefix + tail, n)
         # prod[v]: primes[name] over v's children, each named when reached;
@@ -330,8 +302,8 @@ def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
             prod[parent[v]] *= primes[name]
         if prod[n] not in rooted_seen:
             rooted_seen.add(prod[n])
-            reps.setdefault(_centroid_key(parent, order, prod, names), (parent, order))
-    return frozenset(_canonical_from_parents(parent, order) for parent, order in reps.values())
+            codes.add(_canonical_from_parents(parent, order))
+    return frozenset(codes)
 
 
 def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes]:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from hypothesis import assume
 from hypothesis import strategies as st
 
 from primetrees.enumeration import prufer_decode
@@ -24,20 +23,37 @@ def labeled_trees(draw, min_n: int = 1, max_n: int = 9) -> TreeCert:
 
 @st.composite
 def prime_trees(draw, min_n: int = 5, max_n: int = 60) -> TreeCert:
-    """Random prime tree: a random labeled tree made prime by subdividing the
-    edge to every leaf but the smallest at each support with several leaves,
-    then relabeled, so it covers shapes well beyond the corona trees."""
-    base = draw(labeled_trees(min_n=3, max_n=max_n // 2))
-    edges = base.graph.edges()
-    fresh = base.n
-    for support in base.supports:
-        for leaf in base.leaf_neighbors(support)[1:]:
-            edges.remove((min(support, leaf), max(support, leaf)))
-            edges += [(support, fresh), (fresh, leaf)]
-            fresh += 1
-    assume(fresh >= min_n)
-    perm = draw(st.permutations(range(fresh)))
-    tree = certify_tree(build_graph(fresh, [(perm[u], perm[v]) for u, v in edges]))
+    """Random prime tree on min_n..max_n vertices; every one can be drawn.
+
+    From n >= 4 on, a tree is prime exactly when each support has one leaf.
+    Deleting the leaves leaves a core tree on m vertices and the set S of
+    supports, which holds every leaf of the core, with m + |S| = n, so
+    n / 2 <= m <= n - 2.  The size n is drawn first, then m, then a core with
+    at most n - m leaves: a core's leaves are the labels its sequence (length
+    m - 2) misses, so the sequence uses at least 2m - n distinct labels.  S is
+    the core's leaves and more core vertices, each given one pendant leaf,
+    and the tree is relabeled.
+    """
+    n = draw(st.integers(min_value=max(min_n, 4), max_value=max_n))
+    m = draw(st.integers(min_value=(n + 1) // 2, max_value=n - 2))
+    if m == 2:
+        core = [(0, 1)]
+    else:
+        labels = st.integers(0, m - 1)
+        used = draw(st.lists(labels, min_size=max(2 * m - n, 1), max_size=m - 2, unique=True))
+        rest = m - 2 - len(used)
+        repeats = draw(st.lists(st.sampled_from(used), min_size=rest, max_size=rest))
+        core = prufer_decode(tuple(draw(st.permutations(used + repeats))), m)
+    degree = [0] * m
+    for u, v in core:
+        degree[u] += 1
+        degree[v] += 1
+    leaves = [v for v in range(m) if degree[v] == 1]
+    others = draw(st.permutations([v for v in range(m) if degree[v] > 1]))
+    supports = leaves + others[: n - m - len(leaves)]
+    edges = core + [(s, m + i) for i, s in enumerate(supports)]
+    perm = draw(st.permutations(range(n)))
+    tree = certify_tree(build_graph(n, [(perm[u], perm[v]) for u, v in edges]))
     assert tree_is_prime(tree)
     return tree
 

@@ -258,7 +258,7 @@ def test_parent_array_coder_matches_the_adjacency_coder_on_long_paths_and_brooms
             assert canonical_form(relabeled(tree, rng)) == code
 
 
-def test_decoder_names_rooted_trees_as_the_byte_coder_does(monkeypatch):
+def test_decoder_names_rooted_trees_as_the_byte_coder_does():
     # the sweep's naming over every sequence with 2 <= n <= 7, decoded into a
     # children-first order: each vertex's key is the product of primes[name]
     # over its children; equal names <=> equal AHU codes rooted at n-1
@@ -279,17 +279,6 @@ def test_decoder_names_rooted_trees_as_the_byte_coder_does(monkeypatch):
             assert name_of.setdefault(code, prod[n]) == prod[n], seq
     # rooted trees on 2..7 vertices (OEIS A000081)
     assert len(code_of) == 1 + 2 + 4 + 9 + 20 + 48
-    # and the sweep itself re-roots exactly one tree per rooted tree
-    firsts = []
-    reroot = enumeration._centroid_key
-
-    def recorded(parent, order, prod, names):
-        firsts.append(adjacency_rooted_code(parent_adjacency(parent), len(parent) - 1))
-        return reroot(parent, order, prod, names)
-
-    monkeypatch.setattr(enumeration, "_centroid_key", recorded)
-    assert enumeration._labeled_sweep_chunk((7, ())) == frozenset(all_tree_codes(7))
-    assert len(firsts) == len(set(firsts)) == 48
 
 
 def rooted_tree_counts(m):

@@ -1,9 +1,9 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
-byte encodings per enumeration, decodings and centroid steps per labeled
-sweep, canonical codes per classification, per-tree facts per
-characterization check, subtree lists per minimality scan, sets checked per
-k-minimality test and certificates per extraction, and heap work per
-extraction; and on the canonical coder's memory."""
+byte encodings per enumeration, decodings and encodings per labeled sweep,
+canonical codes per classification, per-tree facts per characterization
+check, subtree lists per minimality scan, sets checked per k-minimality test
+and certificates per extraction, and heap work per extraction; and on the
+canonical coder's memory."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
-from primetrees import critical, enumeration, minimal
+from primetrees import critical, enumeration, minimal, modules
 from primetrees.cli import run
 from primetrees.enumeration import all_tree_codes, canonical_form, labeled_tree_class_codes
 from primetrees.families import path, pkt, pmn, spider
@@ -33,6 +33,27 @@ def test_noncritical_vertices_scans_primality_once_per_deletion(monkeypatch):
     assert critical.noncritical_vertices(c5).vertices == (0, 1, 2, 3, 4)
     # one primality check of C5 itself, then one per single-vertex deletion
     assert calls == [5, 4, 4, 4, 4, 4]
+
+
+def test_prime_command_scans_a_decomposable_non_tree_once(monkeypatch, tmp_path):
+    calls = []
+    scan = modules.iter_nontrivial_modules
+
+    def counted(graph, guard):
+        calls.append(graph.n)
+        return scan(graph, guard)
+
+    monkeypatch.setattr(modules, "iter_nontrivial_modules", counted)
+    # a cone: a 15-vertex path and a hub joined to all of it; the path is
+    # its first nontrivial module, found only late in the subset scan
+    edges = [(i, i + 1) for i in range(14)] + [(i, 15) for i in range(15)]
+    text = "16\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    (tmp_path / "cone.txt").write_text(text)
+    report = run(["prime", str(tmp_path / "cone.txt")])
+    assert report.exit_code == 1
+    assert report.records[0]["witness"] == list(range(15))
+    # one witness search decides the verdict too, not a verdict scan first
+    assert calls == [16]
 
 
 def test_labeled_sweep_pool_is_capped_by_task_count(monkeypatch):
@@ -80,34 +101,23 @@ def test_class_enumeration_encodes_each_free_tree_once(monkeypatch):
     assert calls == [12] * 551
 
 
-def test_labeled_sweep_encodes_one_tree_per_class(monkeypatch):
+def test_labeled_sweep_encodes_one_tree_per_rooted_name(monkeypatch):
     expected = frozenset(all_tree_codes(7))
-    calls = _count_encodings(monkeypatch)
-    # 11 classes on 7 vertices, not one encoding per each of the 7^5 sequences
-    assert labeled_tree_class_codes(7, jobs=1) == expected
-    assert calls == [7] * 11
-
-
-def test_labeled_sweep_reroots_once_per_rooted_class(monkeypatch):
-    expected = frozenset(all_tree_codes(7))
-    decoded, rerooted = [], []
-    decode, reroot = enumeration._prufer_parents, enumeration._centroid_key
+    encoded = _count_encodings(monkeypatch)
+    decoded = []
+    decode = enumeration._prufer_parents
 
     def counted_decode(seq, n):
         decoded.append(n)
         return decode(seq, n)
 
-    def counted_reroot(parent, order, prod, names):
-        rerooted.append(len(parent))
-        return reroot(parent, order, prod, names)
-
     monkeypatch.setattr(enumeration, "_prufer_parents", counted_decode)
-    monkeypatch.setattr(enumeration, "_centroid_key", counted_reroot)
     assert labeled_tree_class_codes(7, jobs=1) == expected
-    # every one of the 7^5 sequences is decoded once, but the centroid step
-    # runs at most once per rooted tree on 7 vertices (48, OEIS A000081)
+    # every one of the 7^5 sequences is decoded once, but only the first tree
+    # of each rooted name is encoded: 48 rooted trees on 7 vertices (OEIS
+    # A000081), not one encoding per sequence
     assert decoded == [7] * 7**5
-    assert len(rerooted) <= 48
+    assert encoded == [7] * 48
 
 
 def test_enumerate_command_prints_the_codes_it_decoded(monkeypatch):
