@@ -12,12 +12,11 @@ Unlabeled generation is the free-tree generator of Wright, Richmond, Odlyzko
 and McKay (SIAM J. Comput. 15(2), 1986): it walks centre-rooted level
 sequences and yields exactly one per free tree, so each class is encoded
 once.  The independent oracle decodes all n^(n-2) labeled trees from their
-sequences and names each subtree (Aho, Hopcroft and Ullman 1974): its key is
-the product of primes[name] over its children, interned to a small int.  By
-unique factorisation the product fixes the multiset of child names, so equal
-names mean isomorphic rooted trees, with no sort and no tuple.  The sweep
-names each tree rooted at n-1 and encodes it with the one byte coder only
-when that rooted name is new, so at most once per rooted tree.
+sequences and names each subtree as its leaf is removed (Aho, Hopcroft and
+Ullman 1974): a prime, interned by the product of its children's names, which
+by unique factorisation fixes their multiset, so equal names mean isomorphic
+rooted trees.  Each tree is rooted at n-1 and encoded with the one byte coder
+only when its rooted name is new, so at most once per rooted tree.
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ def _free_level_sequences(n: int) -> Iterator[list[int]]:
 
 
 def _check_count(n: int) -> None:
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise GraphError(f"vertex count {n!r} is not an integer")
 
 
@@ -223,31 +222,44 @@ def all_trees(n: int) -> Iterator[TreeCert]:
 # labeled trees (independent oracle)
 
 
-def _prufer_parents(seq: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
-    """Parent array and children-first order of the labeled tree on 0..n-1
-    with the given sequence, rooted at n-1 (whose parent is -1).
-
+def _prufer_trees(n: int, heads, lasts, names: dict[int, int]) -> Iterator[list[int]]:
+    """Parent arrays, rooted at n-1 (parent -1), of the labeled trees on
+    0..n-1 whose sequences are a head of n-3 entries and then a last entry,
+    for every head and last entry; only the first tree of each rooted name.
     Each step removes the smallest leaf and joins it to the next entry (n-1
-    after the last), its parent.  `order` lists the vertices as removed,
-    then n-1.  Unchecked: the sequence must have length n-2 >= 0 and
-    entries in 0..n-1.
+    after the last), its parent.  The leaf's subtree is then final, so the
+    step multiplies the parent's product by names[the leaf's product], a new
+    product taking the next prime; with names = {1: 1} no prime is read and
+    only the first tree is yielded.  The yielded list is reused.  Unchecked:
+    n >= 3 and every entry in 0..n-1.
     """
-    degree = [1] * n + [1]  # the slot past n-1 stops the last step's scan
-    for x in seq:
-        degree[x] += 1
     parent = [-1] * n
-    order: list[int] = []
-    leaf = ptr = degree.index(1)
-    for x in (*seq, n - 1):
-        parent[leaf] = x
-        order.append(leaf)
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            leaf = ptr = degree.index(1, ptr + 1)
-    order.append(n - 1)
-    return parent, order
+    seen: set[int] = set()
+    for head in heads:
+        base = [1] * n + [1]  # the slot past n-1 stops the last step's scan
+        for x in head:
+            base[x] += 1
+        steps = [*head, 0, n - 1]
+        for y in lasts:
+            steps[-2] = y
+            degree = base[:]
+            degree[y] += 1
+            prod = [1] * n
+            leaf = ptr = degree.index(1)
+            for x in steps:
+                parent[leaf] = x
+                name = names.get(prod[leaf])
+                if name is None:
+                    name = names[prod[leaf]] = _primes()[len(names)]
+                prod[x] *= name
+                degree[x] -= 1
+                if degree[x] == 1 and x < ptr:
+                    leaf = x
+                else:
+                    leaf = ptr = degree.index(1, ptr + 1)
+            if prod[n - 1] not in seen:
+                seen.add(prod[n - 1])
+                yield parent
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -259,11 +271,11 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     if len(seq) != n - 2:
         raise GraphError(f"sequence length must be n-2 = {n - 2}, got {len(seq)}")
     for x in seq:
-        if not isinstance(x, int):
+        if not isinstance(x, int) or isinstance(x, bool):
             raise GraphError(f"sequence entry {x!r} is not an integer")
         if not 0 <= x < n:
             raise GraphError(f"sequence entry {x} out of range")
-    parent, _ = _prufer_parents(seq, n)
+    parent = next(_prufer_trees(n, [seq[:-1]], seq[-1:], {1: 1})) if n > 2 else [1, -1]
     return sorted((min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0)
 
 
@@ -282,27 +294,15 @@ def _primes() -> tuple[int, ...]:
 
 def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
     """Canonical codes of all labeled trees whose sequence starts with `prefix`:
-    each tree is named rooted at n-1, and the first tree of each rooted name
-    is encoded to bytes."""
+    the walk yields the first tree of each rooted name, and each is encoded."""
     n, prefix = task
-    names = {1: 0}  # product of the children's name primes -> name
-    get = names.get
-    primes = _primes()
-    rooted_seen: set[int] = set()
+    heads = (prefix + tail for tail in product(range(n), repeat=(n - 3) - len(prefix)))
     codes: set[bytes] = set()
-    for tail in product(range(n), repeat=(n - 2) - len(prefix)):
-        parent, order = _prufer_parents(prefix + tail, n)
-        # prod[v]: primes[name] over v's children, each named when reached;
-        # slot n (the root's parent, -1) ends as primes[name of the tree]
-        prod = [1] * (n + 1)
-        for v in order:
-            name = get(prod[v])
-            if name is None:
-                names[prod[v]] = name = len(names)
-            prod[parent[v]] *= primes[name]
-        if prod[n] not in rooted_seen:
-            rooted_seen.add(prod[n])
-            codes.add(_canonical_from_parents(parent, order))
+    for parent in _prufer_trees(n, heads, range(n), {}):
+        order = [n - 1]  # a BFS from the root; reversed, children first
+        for u in order:
+            order += [v for v, p in enumerate(parent) if p == u]
+        codes.add(_canonical_from_parents(parent, order[::-1]))
     return frozenset(codes)
 
 
@@ -315,8 +315,8 @@ def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes
     _check_count(n)
     if not 1 <= n <= LABELED_GUARD:
         raise GraphError(f"labeled enumeration supports 1..{LABELED_GUARD} vertices, got {n}")
-    if n == 1:
-        return frozenset({b"10"})
+    if n <= 2:  # the star rooted at n-1 is the only tree
+        return frozenset({_canonical_from_parents([n - 1] * (n - 1) + [-1], range(n))})
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or n < 7:

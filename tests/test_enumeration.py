@@ -16,7 +16,7 @@ from conftest import labeled_trees
 from primetrees import enumeration
 from primetrees.enumeration import (
     LABELED_GUARD,
-    _prufer_parents,
+    _prufer_trees,
     all_tree_codes,
     all_trees,
     canonical_form,
@@ -259,26 +259,31 @@ def test_parent_array_coder_matches_the_adjacency_coder_on_long_paths_and_brooms
 
 
 def test_decoder_names_rooted_trees_as_the_byte_coder_does():
-    # the sweep's naming over every sequence with 2 <= n <= 7, decoded into a
-    # children-first order: each vertex's key is the product of primes[name]
-    # over its children; equal names <=> equal AHU codes rooted at n-1
-    primes = enumeration._primes()
-    names = {1: 0}
-    code_of, name_of = {}, {}
-    for n in range(2, 8):
-        for seq in product(range(n), repeat=n - 2):
-            parent, order = _prufer_parents(seq, n)
-            place = {v: i for i, v in enumerate(order)}
-            assert sorted(order) == list(range(n)) and order[-1] == n - 1
-            assert all(place[v] < place[p] for v, p in enumerate(parent) if p >= 0)
-            prod = [1] * (n + 1)
-            for v in order:
-                prod[parent[v]] *= primes[names.setdefault(prod[v], len(names))]
-            code = adjacency_rooted_code(parent_adjacency(parent), n - 1)
-            assert code_of.setdefault(prod[n], code) == code, seq
-            assert name_of.setdefault(code, prod[n]) == prod[n], seq
-    # rooted trees on 2..7 vertices (OEIS A000081)
-    assert len(code_of) == 1 + 2 + 4 + 9 + 20 + 48
+    # the walk over every sequence with 3 <= n <= 7 yields the first tree of
+    # each rooted name only: one per rooted tree on n vertices (OEIS A000081),
+    # so the names split no class and merge none; equal names <=> equal AHU
+    # codes rooted at n-1
+    for n, rooted in zip(range(3, 8), (2, 4, 9, 20, 48)):
+        heads = product(range(n), repeat=n - 3)
+        codes = [
+            adjacency_rooted_code(parent_adjacency(parent), n - 1)
+            for parent in _prufer_trees(n, heads, range(n), {})
+        ]
+        assert len(codes) == len(set(codes)) == rooted
+
+
+def test_prufer_decode_reads_no_prime_on_large_trees(monkeypatch):
+    # decoding gives every subtree the name 1, so no prime is read: a tree
+    # with far more distinct subtrees than the table's 486 primes decodes
+    def no_primes():
+        raise AssertionError("prufer_decode read the prime table")
+
+    monkeypatch.setattr(enumeration, "_primes", no_primes)
+    n = 10**5
+    star = prufer_decode((0,) * (n - 2), n)
+    assert star == [(0, v) for v in range(1, n)]
+    path_edges = prufer_decode(tuple(range(1, n - 1)), n)
+    assert path_edges == [(v, v + 1) for v in range(n - 1)]
 
 
 def rooted_tree_counts(m):
@@ -317,11 +322,13 @@ def test_prufer_decode_rejections():
         prufer_decode((0,), 4)
     with pytest.raises(GraphError):
         prufer_decode((9, 0), 4)
-    for entry in (1.0, "a", None):
+    for entry in (1.0, "a", None, True):
         with pytest.raises(GraphError, match="not an integer"):
             prufer_decode((entry,), 3)
     with pytest.raises(GraphError, match="vertex count 3.0 is not an integer"):
         prufer_decode((0,), 3.0)
+    with pytest.raises(GraphError, match="vertex count True is not an integer"):
+        prufer_decode((), True)
 
 
 def test_guards():
@@ -336,6 +343,12 @@ def test_guards():
         all_tree_codes(5.0)
     with pytest.raises(GraphError, match="vertex count 4.0 is not an integer"):
         labeled_tree_class_codes(4.0)
+    all_tree_codes(1)  # cached: a bool must not be served as 1
+    for count in (True, False):
+        with pytest.raises(GraphError, match=f"vertex count {count} is not an integer"):
+            all_tree_codes(count)
+        with pytest.raises(GraphError, match=f"vertex count {count} is not an integer"):
+            labeled_tree_class_codes(count)
 
 
 def test_count_by_predicate():

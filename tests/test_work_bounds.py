@@ -105,13 +105,18 @@ def test_labeled_sweep_encodes_one_tree_per_rooted_name(monkeypatch):
     expected = frozenset(all_tree_codes(7))
     encoded = _count_encodings(monkeypatch)
     decoded = []
-    decode = enumeration._prufer_parents
+    walk = enumeration._prufer_trees
 
-    def counted_decode(seq, n):
-        decoded.append(n)
-        return decode(seq, n)
+    def counted_walk(n, heads, lasts, names):
+        # every head walked with every last entry is one decoded sequence
+        def counted_heads():
+            for head in heads:
+                decoded.extend([n] * len(lasts))
+                yield head
 
-    monkeypatch.setattr(enumeration, "_prufer_parents", counted_decode)
+        return walk(n, counted_heads(), lasts, names)
+
+    monkeypatch.setattr(enumeration, "_prufer_trees", counted_walk)
     assert labeled_tree_class_codes(7, jobs=1) == expected
     # every one of the 7^5 sequences is decoded once, but only the first tree
     # of each rooted name is encoded: 48 rooted trees on 7 vertices (OEIS
