@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -40,24 +41,10 @@ if TYPE_CHECKING:
     from .critical import ConditionReport
 
 
-class Report:
-    """What a command produced: text lines, record objects, exit status."""
+class Report(namedtuple("Report", "exit_code lines records format", defaults=(0, (), (), "text"))):
+    """What a command produced: exit status, text lines, record objects, format."""
 
-    def __init__(
-        self,
-        exit_code: int = 0,
-        lines: list[str] | None = None,
-        records: list[dict] | None = None,
-        format: str = "text",
-    ):
-        self.exit_code = exit_code
-        self.lines = [] if lines is None else lines
-        self.records = [] if records is None else records
-        self.format = format
-
-
-# What each `_cmd_*` returns: exit status, record objects, text lines.
-Outcome = tuple[int, list[dict], list[str]]
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +171,7 @@ def _condition_lines(conditions: list[dict] | None, skipped: str) -> list[str]:
 # subcommands
 
 
-def _cmd_prime(args) -> Outcome:
+def _cmd_prime(args) -> Report:
     from .modules import find_nontrivial_module, tree_module_witness
 
     graph, _ = _load_graph(args.file)
@@ -206,10 +193,10 @@ def _cmd_prime(args) -> Outcome:
         lines.append(f"module witness: {_show(rec['witness'])}")
     elif not rec["prime"]:
         lines.append("module witness: none (fewer than 4 vertices)")
-    return (0 if rec["prime"] else 1), [rec], lines
+    return Report(0 if rec["prime"] else 1, lines, [rec])
 
 
-def _cmd_sigma(args) -> Outcome:
+def _cmd_sigma(args) -> Report:
     from .critical import noncritical_vertices
 
     graph, labels = _load_graph(args.file)
@@ -221,10 +208,10 @@ def _cmd_sigma(args) -> Outcome:
         "labels": _label_list(sigma.vertices, labels),
         "k": sigma.k,
     }
-    return 0, [rec], _sigma_lines(rec["n"], rec["ids"], rec["labels"])
+    return Report(0, _sigma_lines(rec["n"], rec["ids"], rec["labels"]), [rec])
 
 
-def _cmd_classify_critical(args) -> Outcome:
+def _cmd_classify_critical(args) -> Report:
     from .critical import check_noncritical_set, classify_critical_family, noncritical_vertices
 
     tree, labels = _load_tree(args.file)
@@ -253,10 +240,10 @@ def _cmd_classify_critical(args) -> Outcome:
     lines += _condition_lines(
         rec["conditions"], "stated for >= 5 vertices and a nonempty set"
     )
-    return (1 if rec["overall"] is False else 0), [rec], lines
+    return Report(1 if rec["overall"] is False else 0, lines, [rec])
 
 
-def _cmd_check_minimal(args) -> Outcome:
+def _cmd_check_minimal(args) -> Report:
     from .minimal import check_minimal_set, is_minimal_brute_force, prime_proper_subgraph_witness
     from .modules import tree_is_prime
 
@@ -296,10 +283,10 @@ def _cmd_check_minimal(args) -> Outcome:
         if rec["brute"] != rec["minimal"]:
             lines.append("DISAGREEMENT between conditions and brute force")
     passed = rec["minimal"] and rec["brute"] is not False
-    return (0 if passed else 1), [rec], lines
+    return Report(0 if passed else 1, lines, [rec])
 
 
-def _cmd_extract_minimal(args) -> Outcome:
+def _cmd_extract_minimal(args) -> Report:
     from .minimal import extract_minimal_subtree
 
     tree, labels = _load_tree(args.file)
@@ -323,10 +310,10 @@ def _cmd_extract_minimal(args) -> Outcome:
             f"{name}={idx}" for name, idx in sub_labels.items()
         )
     body = _dot_text(sub.graph) if args.dot else format_edge_list(sub.graph, out_annotations)
-    return 0, [rec], body.rstrip("\n").split("\n")
+    return Report(0, body.rstrip("\n").split("\n"), [rec])
 
 
-def _cmd_gen(args) -> Outcome:
+def _cmd_gen(args) -> Report:
     from .critical import noncritical_vertices
     from .modules import tree_is_prime
 
@@ -353,7 +340,7 @@ def _cmd_gen(args) -> Outcome:
         if rec["sigma"] is not None:
             annotations["sigma"] = " ".join(rec["sigma"])
         body = format_edge_list(family.cert.graph, annotations)
-    return 0, [rec], body.rstrip("\n").split("\n")
+    return Report(0, body.rstrip("\n").split("\n"), [rec])
 
 
 def _parse_predicate(expr: str | None):
@@ -377,7 +364,7 @@ def _parse_predicate(expr: str | None):
     )
 
 
-def _cmd_enumerate(args) -> Outcome:
+def _cmd_enumerate(args) -> Report:
     from .enumeration import all_tree_codes, all_trees
 
     predicate = _parse_predicate(args.predicate)
@@ -395,10 +382,10 @@ def _cmd_enumerate(args) -> Outcome:
         " ".join([rec["code"], str(rec["n"])] + [f"{u}-{v}" for u, v in rec["edges"]])
         for rec in records
     ]
-    return 0, records, lines
+    return Report(0, lines, records)
 
 
-def _cmd_count(args) -> Outcome:
+def _cmd_count(args) -> Report:
     from .counting import _PREDICATES, count_table
     from .critical import classify_critical_family
     from .enumeration import all_trees
@@ -431,7 +418,7 @@ def _cmd_count(args) -> Outcome:
     for cell in cells:
         lines.append("  ".join(value.rjust(w) for value, w in zip(cell, widths)))
     if not args.verify:
-        return 0, records, lines
+        return Report(0, lines, records)
     if args.what == "critical2":
         lines.append(
             "note: single-hub trees with a 4-vertex backbone are counted under "
@@ -439,7 +426,7 @@ def _cmd_count(args) -> Outcome:
         )
     if table.all_agree:
         lines.append("all rows agree")
-        return 0, records, lines
+        return Report(0, lines, records)
     lines.append("DISAGREEMENT; witness trees follow")
     _, predicate, _ = _PREDICATES[args.what]
     for row in table.disagreements():
@@ -448,10 +435,10 @@ def _cmd_count(args) -> Outcome:
                 family = classify_critical_family(tree)
                 edges = " ".join(f"{u}-{v}" for u, v in tree.graph.edges())
                 lines.append(f"witness n={row.n} family={family} edges: {edges}")
-    return 1, records, lines
+    return Report(1, lines, records)
 
 
-def _cmd_selftest(args) -> Outcome:
+def _cmd_selftest(args) -> Report:
     from .selftest import run_suites
 
     records = [
@@ -472,7 +459,7 @@ def _cmd_selftest(args) -> Outcome:
         f"{passed}/{len(records)} suites passed"
         + (" (full ranges)" if args.full else " (quick ranges)")
     )
-    return (0 if passed == len(records) else 1), records, lines
+    return Report(0 if passed == len(records) else 1, lines, records)
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +590,11 @@ def run(argv: list[str]) -> Report:
         sys.stderr.write(usage)
         return Report(2, records=[{"error": message}], format=_requested_format(argv))
     try:
-        exit_code, records, lines = _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command](args)
     except (ValueError, MemoryError) as exc:  # GraphError included: bad or oversized input
         message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
-        return Report(
-            exit_code=2,
-            lines=[f"error: {message}"],
-            records=[{"error": message}],
-            format=args.format,
-        )
-    return Report(exit_code, lines, records, args.format)
+        return Report(2, [f"error: {message}"], [{"error": message}], args.format)
+    return report._replace(format=args.format)
 
 
 def render(report: Report) -> str:

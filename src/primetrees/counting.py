@@ -12,7 +12,7 @@ from typing import Callable, Literal
 
 from .critical import noncritical_vertices
 from .enumeration import all_tree_codes, all_trees
-from .graph import TreeCert
+from .graph import TreeCert, _check_integer
 from .minimal import is_k_minimal
 from .modules import tree_is_prime
 
@@ -133,6 +133,7 @@ def count_table(
     predicate, never sampling noise.  n_max above COUNT_NMAX is refused
     before any row is built.
     """
+    _check_integer(n_max, "n_max")
     if kind not in _PREDICATES:
         raise ValueError(f"unknown count kind {kind!r}")
     n_min, predicate, formula = _PREDICATES[kind]

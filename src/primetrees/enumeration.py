@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from typing import Iterator
 
-from .graph import GraphError, TreeCert, build_graph, certify_tree
+from .graph import GraphError, TreeCert, _check_integer, build_graph, certify_tree
 
 CLASS_GUARD = 18
 LABELED_GUARD = 9
@@ -189,15 +189,10 @@ def _free_level_sequences(n: int) -> Iterator[list[int]]:
             levels[n - h:] = range(1, h + 1)
 
 
-def _check_count(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise GraphError(f"vertex count {n!r} is not an integer")
-
-
 @lru_cache(maxsize=None, typed=True)  # typed: 5.0 is refused, not served as 5
 def all_tree_codes(n: int) -> tuple[bytes, ...]:
     """Canonical codes of all isomorphism classes of trees on n vertices, sorted."""
-    _check_count(n)
+    _check_integer(n, "vertex count")
     if not 1 <= n <= CLASS_GUARD:
         raise GraphError(f"tree enumeration supports 1..{CLASS_GUARD} vertices, got {n}")
     codes = []
@@ -229,12 +224,14 @@ def _prufer_trees(n: int, heads, lasts, names: dict[int, int]) -> Iterator[list[
     Each step removes the smallest leaf and joins it to the next entry (n-1
     after the last), its parent.  The leaf's subtree is then final, so the
     step multiplies the parent's product by names[the leaf's product], a new
-    product taking the next prime; with names = {1: 1} no prime is read and
-    only the first tree is yielded.  The yielded list is reused.  Unchecked:
-    n >= 3 and every entry in 0..n-1.
+    product taking the next prime of a stream opened per call, so the names
+    never run out; with names = {1: 1} no prime is read and only the first
+    tree is yielded.  The yielded list is reused.  Unchecked: n >= 3 and
+    every entry in 0..n-1.
     """
     parent = [-1] * n
     seen: set[int] = set()
+    primes = _primes()
     for head in heads:
         base = [1] * n + [1]  # the slot past n-1 stops the last step's scan
         for x in head:
@@ -250,7 +247,7 @@ def _prufer_trees(n: int, heads, lasts, names: dict[int, int]) -> Iterator[list[
                 parent[leaf] = x
                 name = names.get(prod[leaf])
                 if name is None:
-                    name = names[prod[leaf]] = _primes()[len(names)]
+                    name = names[prod[leaf]] = next(primes)
                 prod[x] *= name
                 degree[x] -= 1
                 if degree[x] == 1 and x < ptr:
@@ -265,31 +262,32 @@ def _prufer_trees(n: int, heads, lasts, names: dict[int, int]) -> Iterator[list[
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     """Edges (u, v), u < v, in lexicographic order, of the labeled tree on
     0..n-1 with the given sequence (length n-2)."""
-    _check_count(n)
+    _check_integer(n, "vertex count")
     if n < 2:
         raise GraphError("sequence decoding needs n >= 2")
     if len(seq) != n - 2:
         raise GraphError(f"sequence length must be n-2 = {n - 2}, got {len(seq)}")
     for x in seq:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise GraphError(f"sequence entry {x!r} is not an integer")
+        _check_integer(x, "sequence entry")
         if not 0 <= x < n:
             raise GraphError(f"sequence entry {x} out of range")
     parent = next(_prufer_trees(n, [seq[:-1]], seq[-1:], {1: 1})) if n > 2 else [1, -1]
     return sorted((min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0)
 
 
-@lru_cache(maxsize=None)
-def _primes() -> tuple[int, ...]:
-    """The first 486 primes, one per rooted tree on at most LABELED_GUARD = 9
-    vertices (OEIS A000081: 1 + 1 + 2 + 4 + 9 + 20 + 48 + 115 + 286), so one
-    per name a labeled sweep can intern.  Built on first use, not at import."""
-    top = 3468  # one past the 486th prime
-    sieve = bytearray([1]) * top
-    for p in range(2, 59):  # 59 * 59 > top
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, top, p)))
-    return tuple(p for p in range(2, top) if sieve[p])
+def _primes() -> Iterator[int]:
+    """The primes in increasing order, by trial division of each odd number
+    by the primes before it, up to its square root."""
+    yield 2
+    found = [2]
+    for p in count(3, 2):
+        for q in found:
+            if p % q == 0:
+                break
+            if q * q > p:
+                found.append(p)
+                yield p
+                break
 
 
 def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
@@ -312,7 +310,7 @@ def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes
     The sequence space splits by first entry into n tasks across at most n
     worker processes; the set union is independent of worker scheduling.
     """
-    _check_count(n)
+    _check_integer(n, "vertex count")
     if not 1 <= n <= LABELED_GUARD:
         raise GraphError(f"labeled enumeration supports 1..{LABELED_GUARD} vertices, got {n}")
     if n <= 2:  # the star rooted at n-1 is the only tree

@@ -26,6 +26,12 @@ class GraphError(ValueError):
     """Rejected input: malformed graph, bad vertex id, or guard violation."""
 
 
+def _check_integer(value: object, name: str) -> None:
+    """Refuse a value that is not an int, or is a bool, naming it."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphError(f"{name} {value!r} is not an integer")
+
+
 def vertex_set(vertices: Iterable[int]) -> tuple[int, ...]:
     """Normalize an iterable of vertex ids into a sorted duplicate-free tuple."""
     return tuple(sorted(set(vertices)))

@@ -19,12 +19,13 @@ from operator import xor as ixor
 from .critical import (
     Condition,
     ConditionReport,
+    CriticalFamily,
     _other_neighbor,
     _read_members,
     _refuse_outside,
     _report,
 )
-from .graph import MINIMALITY_GUARD, Graph, GraphError, TreeCert, certify_tree, vertex_set
+from .graph import MINIMALITY_GUARD, Graph, GraphError, TreeCert, _check_integer, certify_tree, vertex_set
 from .modules import tree_is_prime
 
 _C2_HOLDS = Condition(2, True, None, "every leaf or its support is in the set")
@@ -335,6 +336,7 @@ def is_k_minimal(tree: TreeCert, k: int) -> bool:
     conversely, an X holding every leaf passes condition 2 and makes
     condition 3 vacuous, and condition 1 holds in every prime tree.
     """
+    _check_integer(k, "k")
     if k < 0:
         raise GraphError(f"k must be >= 0, got {k}")
     if not tree_is_prime(tree):
@@ -349,11 +351,7 @@ class MinimalForm(namedtuple("MinimalForm", "kind params", defaults=((),))):
     and a tuple of integer parameters."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.kind
-        return f"{self.kind}({', '.join(map(str, self.params))})"
+    __str__ = CriticalFamily.__str__
 
 
 def classify_three_minimal(tree: TreeCert, members) -> MinimalForm:

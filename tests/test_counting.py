@@ -111,6 +111,10 @@ def test_count_table_rejections():
         count_table("nope", 8)
     with pytest.raises(ValueError, match="n_max"):
         count_table("critical2", 4)
+    # n_max is refused unless it is an int, before the kind or range is read
+    for kind, n_max in (("critical2", 7.0), ("minimal3", True), ("nope", 2.5)):
+        with pytest.raises(GraphError, match=f"^n_max {n_max} is not an integer$"):
+            count_table(kind, n_max)
 
 
 def test_count_table_refuses_past_the_class_guard_before_enumerating(monkeypatch):

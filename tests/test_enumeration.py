@@ -2,11 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-import subprocess
-import sys
 from collections import Counter
-from itertools import product
-from math import factorial, prod
+from itertools import islice, product
+from math import factorial, isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -15,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import labeled_trees
 from primetrees import enumeration
 from primetrees.enumeration import (
-    LABELED_GUARD,
     _prufer_trees,
     all_tree_codes,
     all_trees,
@@ -273,10 +270,11 @@ def test_decoder_names_rooted_trees_as_the_byte_coder_does():
 
 
 def test_prufer_decode_reads_no_prime_on_large_trees(monkeypatch):
-    # decoding gives every subtree the name 1, so no prime is read: a tree
-    # with far more distinct subtrees than the table's 486 primes decodes
+    # decoding gives every subtree the name 1, so no prime is read however
+    # many distinct subtrees the tree has
     def no_primes():
-        raise AssertionError("prufer_decode read the prime table")
+        raise AssertionError("prufer_decode read a prime")
+        yield  # a generator: the error comes with the first next()
 
     monkeypatch.setattr(enumeration, "_primes", no_primes)
     n = 10**5
@@ -286,35 +284,32 @@ def test_prufer_decode_reads_no_prime_on_large_trees(monkeypatch):
     assert path_edges == [(v, v + 1) for v in range(n - 1)]
 
 
-def rooted_tree_counts(m):
-    """OEIS A000081 for 1..m: a(k+1) = (1/k) sum_{j=1..k} (sum_{d | j} d a(d)) a(k-j+1)."""
-    a = [0, 1]
-    for k in range(1, m):
-        total = sum(
-            sum(d * a[d] for d in range(1, j + 1) if j % d == 0) * a[k - j + 1]
-            for j in range(1, k + 1)
-        )
-        a.append(total // k)
-    return a[1:]
+def test_the_walk_names_every_rooted_subtree_of_a_large_tree():
+    # a new product takes the next prime of an unbounded stream, so the walk
+    # names all 630 distinct rooted subtrees below this tree's root n-1, more
+    # than there are rooted trees on at most 9 vertices (486)
+    rng = random.Random(7)
+    n = 2000
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    names = {}
+    (parent,) = _prufer_trees(n, [seq[:-1]], seq[-1:], names)
+    kids = [[] for _ in parent]
+    for v, p in enumerate(parent[:-1]):
+        kids[p].append(v)
+    order = [n - 1]
+    for u in order:
+        order += kids[u]
+    ahu, ids = {}, [0] * n  # interned AHU tuples of sorted child ids
+    for u in reversed(order):
+        ids[u] = ahu.setdefault(tuple(sorted(ids[w] for w in kids[u])), len(ahu))
+    assert len(names) == len(set(ids[:-1])) == 630
+    assert sorted(names.values()) == list(islice(enumeration._primes(), 630))
 
 
-def test_prime_table_has_a_prime_per_name_at_the_guard():
-    assert rooted_tree_counts(9) == [1, 1, 2, 4, 9, 20, 48, 115, 286]
-    # the names a sweep interns are rooted trees on at most LABELED_GUARD vertices
-    need = sum(rooted_tree_counts(LABELED_GUARD))
-    primes = enumeration._primes()
-    assert need == 486 and len(primes) >= need
-    assert primes[:5] == (2, 3, 5, 7, 11)
-    assert all(all(p % q for q in range(2, int(p**0.5) + 1)) for p in primes)
-    assert list(primes) == sorted(set(primes))
-
-
-def test_importing_the_module_builds_no_prime_table():
-    probe = "import primetrees.enumeration as e; print(e._primes.cache_info().currsize)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "0"
+def test_prime_stream_yields_the_primes_in_order():
+    first = list(islice(enumeration._primes(), 500))
+    primes = [m for m in range(2, first[-1] + 1) if all(m % d for d in range(2, isqrt(m) + 1))]
+    assert first == primes
 
 
 def test_prufer_decode_rejections():

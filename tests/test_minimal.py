@@ -199,6 +199,10 @@ def test_is_k_minimal():
     assert not is_k_minimal(skmn(2, 2, 2).cert, 2)
     star = certify_tree(build_graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert not is_k_minimal(star, 3)
+    # k is refused unless it is an int, before the sign or primality is read
+    for tree, k in ((p(6), 2.5), (p(6), True), (p(6), -1.5), (star, 3.0)):
+        with pytest.raises(GraphError, match=f"^k {k} is not an integer$"):
+            is_k_minimal(tree, k)
 
 
 def test_is_k_minimal_matches_the_definition_on_every_small_tree():
