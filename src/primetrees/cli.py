@@ -343,31 +343,14 @@ def _cmd_gen(args) -> Report:
     return Report(0, body.rstrip("\n").split("\n"), [rec])
 
 
-def _parse_predicate(expr: str | None):
-    if expr is None:
-        return None
-    from .critical import noncritical_vertices
-    from .minimal import is_k_minimal
-    from .modules import tree_is_prime
-
-    if expr == "prime":
-        return lambda tree: tree_is_prime(tree)
-    name, _, value = expr.partition("=")
-    if value.isascii() and value.isdigit():
-        k = int(value)
-        if name == "critical":
-            return lambda tree: tree_is_prime(tree) and noncritical_vertices(tree).k == k
-        if name == "minimal":
-            return lambda tree: is_k_minimal(tree, k)
-    raise GraphError(
-        f"unknown predicate {expr!r}; use prime, critical=K, or minimal=K"
-    )
-
-
 def _cmd_enumerate(args) -> Report:
     from .enumeration import all_tree_codes, all_trees
 
-    predicate = _parse_predicate(args.predicate)
+    keep = None
+    if args.predicate is not None:
+        from .counting import predicate
+
+        keep = predicate(args.predicate)
     records = [
         {
             "command": "enumerate",
@@ -376,7 +359,7 @@ def _cmd_enumerate(args) -> Report:
             "edges": [list(e) for e in tree.graph.edges()],
         }
         for code, tree in zip(all_tree_codes(args.n), all_trees(args.n))
-        if predicate is None or predicate(tree)
+        if keep is None or keep(tree)
     ]
     lines = [
         " ".join([rec["code"], str(rec["n"])] + [f"{u}-{v}" for u, v in rec["edges"]])
@@ -496,6 +479,12 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
 
+    def _check_value(self, action, value):
+        # the choices quoted, as up to Python 3.13.0; later releases drop the quotes
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
 
 def _format_parser() -> _Parser:
     common = _Parser(add_help=False)
@@ -562,6 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", parents=[common], help="run the invariant suites")
     p.add_argument("--full", action="store_true", help="full ranges (slower)")
+    # the usage as Python 3.10 to 3.12 wrap it, which 3.13 wraps otherwise
+    parser.usage = "%(prog)s [-h]\n{0}{{{1}}}\n{0}...".format(" " * 18, ",".join(sub.choices))
     return parser
 
 

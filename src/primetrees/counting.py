@@ -12,7 +12,7 @@ from typing import Callable, Literal
 
 from .critical import noncritical_vertices
 from .enumeration import all_tree_codes, all_trees
-from .graph import TreeCert, _check_integer
+from .graph import GraphError, TreeCert, _check_integer
 from .minimal import is_k_minimal
 from .modules import tree_is_prime
 
@@ -31,15 +31,10 @@ def _round_nearest(num: int, den: int) -> int:
 
 
 def partitions_two_parts(k: int) -> int:
-    """Number of partitions of k into exactly 2 positive parts.
-
-    Closed form floor(k/2) on the stated range k >= 3; tiny cases are pinned
-    directly.
-    """
+    """Number of partitions of k into exactly 2 positive parts: floor(k/2)."""
+    _check_integer(k, "k")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k < 3:
-        return 1 if k == 2 else 0
     return k // 2
 
 
@@ -49,47 +44,58 @@ def partitions_three_parts(k: int) -> int:
     Uses the at-most-3-parts bracket [(k+3)^2 / 12] minus the counts with
     fewer parts.
     """
+    _check_integer(k, "k")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return _round_nearest((k + 3) ** 2, 12) - k // 2 - 1
 
 
 def count_minus2_critical_formula(n: int) -> int:
-    """Closed-form number of nonisomorphic prime trees on n vertices having
-    exactly two non-critical vertices; stated for n >= 5."""
+    """Number of nonisomorphic prime trees on n vertices having exactly two
+    non-critical vertices; stated for n >= 5.
+
+    These are the path, Pkt(n - 2t, t) for each t with n - 2t >= 5, and
+    Pmn(n - 2s, n1, n2) for each s = n1 + n2 in 2..S, S = (n - 4) // 2,
+    with floor(s/2) pairs n1 <= n2 each: floor(S^2/4) in all.
+    """
+    _check_integer(n, "n")
     if n < 5:
         raise ValueError(f"the count is stated for n >= 5, got {n}")
-    q = n // 4
-    r = n % 4
-    if r == 0:
-        return q * q - 1
-    if r == 1:
-        return q * q
-    if r == 2:
-        return q * (q + 1) - 1
-    return q * (q + 1)
+    s_max = (n - 4) // 2
+    return 1 + (n - 5) // 2 + s_max * s_max // 4
 
 
 def count_3minimal_formula(n: int) -> int:
-    """Closed-form number of nonisomorphic trees on n vertices minimal for
-    some 3-element vertex set; stated for n >= 4."""
+    """Number of nonisomorphic trees on n vertices minimal for some
+    3-element vertex set; stated for n >= 4.
+
+    These are the path and the spiders with three legs a <= b <= c summing
+    to n - 1, but for the decomposable (1, 1, n - 3), whose place the path
+    takes: one tree per partition of n - 1 into three parts.
+    """
+    _check_integer(n, "n")
     if n < 4:
         raise ValueError(f"the count is stated for n >= 4, got {n}")
-    if n in (4, 5):
-        return 1
-    if n == 6:
-        return 2
-    return _round_nearest((n - 1) ** 2, 12) - (n - 4) // 2 + (n - 2) // 2 - 1
+    return partitions_three_parts(n - 1)
 
 
-def is_minus2_critical(tree: TreeCert) -> bool:
-    """Prime tree with exactly two non-critical vertices."""
-    return tree_is_prime(tree) and noncritical_vertices(tree).k == 2
+def predicate(expr: str) -> Callable[[TreeCert], bool]:
+    """The tree predicate `expr` names: prime, critical=K (prime with
+    exactly K non-critical vertices) or minimal=K."""
+    if expr == "prime":
+        return tree_is_prime
+    name, _, value = expr.partition("=")
+    if value.isascii() and value.isdigit():
+        k = int(value)
+        if name == "critical":
+            return lambda tree: tree_is_prime(tree) and noncritical_vertices(tree).k == k
+        if name == "minimal":
+            return lambda tree: is_k_minimal(tree, k)
+    raise GraphError(f"unknown predicate {expr!r}; use prime, critical=K, or minimal=K")
 
 
-def is_3_minimal(tree: TreeCert) -> bool:
-    return is_k_minimal(tree, 3)
-
+is_minus2_critical = predicate("critical=2")
+is_3_minimal = predicate("minimal=3")
 
 _PREDICATES: dict[str, tuple[int, Callable[[TreeCert], bool], Callable[[int], int]]] = {
     "critical2": (5, is_minus2_critical, count_minus2_critical_formula),

@@ -197,33 +197,22 @@ def uniqueness_exceptions(n_max: int) -> list[str]:
     Each n's prime trees are decoded and their k computed once, for all
     three claims.
     """
+    # (k as stated, k at n, the parity of the n with exactly one such tree,
+    # that tree at n, its name); every other n has none
+    claims = (
+        ("1", lambda n: 1, 0, lambda n: pkt(4, (n - 4) // 2), "the single-hub member"),
+        ("floor(n/2)", lambda n: n // 2, 1, lambda n: spider((n - 1) // 2), "the spider"),
+    )
     bad = []
     for n in range(4, n_max + 1):
         trees = [(t, noncritical_vertices(t).k) for t in _prime_trees(n)]
-        if n >= 5:
-            one_critical = [t for t, k in trees if k == 1]
-            if n % 2 == 0:
-                expected = pkt(4, (n - 4) // 2).cert
-                if len(one_critical) != 1:
-                    bad.append(f"n={n}: {len(one_critical)} trees with k=1, expected 1")
-                elif canonical_form(one_critical[0]) != canonical_form(expected):
-                    bad.append(f"n={n}: the k=1 tree is not the single-hub member")
-            elif one_critical:
-                bad.append(f"n={n}: {len(one_critical)} trees with k=1, expected 0")
-
-            half_critical = [t for t, k in trees if k == n // 2]
-            if n % 2 == 1:
-                expected = spider((n - 1) // 2).cert
-                if len(half_critical) != 1:
-                    bad.append(
-                        f"n={n}: {len(half_critical)} trees with k=floor(n/2), expected 1"
-                    )
-                elif canonical_form(half_critical[0]) != canonical_form(expected):
-                    bad.append(f"n={n}: the k=floor(n/2) tree is not the spider")
-            elif half_critical:
-                bad.append(
-                    f"n={n}: {len(half_critical)} trees with k=floor(n/2), expected 0"
-                )
+        for stated, k_at, parity, member, name in claims if n >= 5 else ():
+            found = [t for t, k in trees if k == k_at(n)]
+            expected = 1 if n % 2 == parity else 0
+            if len(found) != expected:
+                bad.append(f"n={n}: {len(found)} trees with k={stated}, expected {expected}")
+            elif found and canonical_form(found[0]) != canonical_form(member(n).cert):
+                bad.append(f"n={n}: the k={stated} tree is not {name}")
         if n <= 12:
             zero = sum(1 for _, k in trees if k == 0)
             expected_count = 1 if n == 4 else 0
@@ -235,63 +224,44 @@ def uniqueness_exceptions(n_max: int) -> list[str]:
 def family_sigma_exceptions() -> list[str]:
     """Family constructors against their stated non-critical sets, and
     pairwise distinctness of same-size members."""
+    # (name, member, the labels of its stated non-critical set)
+    claims = [
+        *((f"path({n})", path(n), {1, n}) for n in range(5, 11)),
+        *((f"spider({m})", spider(m), range(m + 1, 2 * m + 1)) for m in range(2, 7)),
+        *(
+            (f"pkt({k},{t})", pkt(k, t), {2 * t + 1, 2 * t + k})
+            for k in range(5, 9) for t in range(1, 4)
+        ),
+        *((f"pkt(4,{t})", pkt(4, t), {2 * t + 1}) for t in range(1, 4)),
+        *(
+            (f"pmn({m},{n1},{n2})", pmn(m, n1, n2), {2 * (n1 + n2) + 1, 2 * (n1 + n2) + m})
+            for m in range(4, 8) for n1 in range(1, 4) for n2 in range(n1, 4)
+        ),
+    ]
+    # (name, member) of every k = 2 member on 5 to 14 vertices
+    members = [
+        *((f"path({n})", path(n)) for n in range(5, 15)),
+        *((f"pkt({k},{t})", pkt(k, t)) for k in range(5, 15) for t in range(1, 6) if k + 2 * t <= 14),
+        *(
+            (f"pmn({m},{n1},{n2})", pmn(m, n1, n2))
+            for m in range(4, 11) for n1 in range(1, 5) for n2 in range(n1, 5)
+            if m + 2 * (n1 + n2) <= 14
+        ),
+    ]
     bad = []
-
-    def sigma_labels(family) -> set[str]:
+    for name, family, stated in claims:
         back = family.id_to_label
-        return {back[v] for v in noncritical_vertices(family.cert).vertices}
-
-    for n in range(5, 11):
-        got = sigma_labels(path(n))
-        if got != {"1", str(n)}:
-            bad.append(f"path({n}): sigma labels {sorted(got)}")
-    for m in range(2, 7):
-        family = spider(m)
-        got = sigma_labels(family)
-        if got != {str(i) for i in range(m + 1, 2 * m + 1)}:
-            bad.append(f"spider({m}): sigma labels {sorted(got)}")
-    for k in range(5, 9):
-        for t in range(1, 4):
-            got = sigma_labels(pkt(k, t))
-            if got != {str(2 * t + 1), str(2 * t + k)}:
-                bad.append(f"pkt({k},{t}): sigma labels {sorted(got)}")
-    for t in range(1, 4):
-        got = sigma_labels(pkt(4, t))
-        if got != {str(2 * t + 1)}:
-            bad.append(f"pkt(4,{t}): sigma labels {sorted(got)}")
-    for m in range(4, 8):
-        for n1 in range(1, 4):
-            for n2 in range(n1, 4):
-                s = n1 + n2
-                got = sigma_labels(pmn(m, n1, n2))
-                if got != {str(2 * s + 1), str(2 * s + m)}:
-                    bad.append(f"pmn({m},{n1},{n2}): sigma labels {sorted(got)}")
-
-    by_size: dict[int, list[tuple[str, bytes]]] = {}
-    for n in range(5, 15):
-        by_size.setdefault(n, []).append((f"path({n})", canonical_form(path(n).cert)))
-    for k in range(5, 15):
-        for t in range(1, 6):
-            n = k + 2 * t
-            if n <= 14:
-                by_size.setdefault(n, []).append(
-                    (f"pkt({k},{t})", canonical_form(pkt(k, t).cert))
-                )
-    for m in range(4, 11):
-        for n1 in range(1, 5):
-            for n2 in range(n1, 5):
-                n = m + 2 * (n1 + n2)
-                if n <= 14:
-                    by_size.setdefault(n, []).append(
-                        (f"pmn({m},{n1},{n2})", canonical_form(pmn(m, n1, n2).cert))
-                    )
-    for n, entries in sorted(by_size.items()):
-        seen: dict[bytes, str] = {}
-        for name, code in entries:
-            if code in seen:
-                bad.append(f"n={n}: {name} isomorphic to {seen[code]}")
-            else:
-                seen[code] = name
+        got = {back[v] for v in noncritical_vertices(family.cert).vertices}
+        if got != {str(label) for label in stated}:
+            bad.append(f"{name}: sigma labels {sorted(got)}")
+    seen: dict[tuple[int, bytes], str] = {}
+    for name, family in sorted(members, key=lambda member: member[1].cert.n):
+        n = family.cert.n
+        key = (n, canonical_form(family.cert))
+        if key in seen:
+            bad.append(f"n={n}: {name} isomorphic to {seen[key]}")
+        else:
+            seen[key] = name
     return bad
 
 

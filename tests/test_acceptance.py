@@ -4,7 +4,8 @@ Every suite of `selftest.PLAN` runs once at its full args, which are the
 acceptance ranges; criterion 1 adds the CLI route, and criteria 1 and 2
 their pinned formula values.  Each test prints a single PASS line on success (visible
 with `pytest -s`); a failure shows the offending witnesses instead.
-Runtime-limited criteria assert their stated wall-clock budgets.
+Runtime-limited criteria assert their stated wall-clock budgets.  The
+family claims are also shown to catch a planted fault.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from primetrees import selftest
 from primetrees.cli import run
 from primetrees.counting import count_table
+from primetrees.families import path
 from primetrees.selftest import PLAN
 
 FULL_ARGS = {name: full for name, _, _, _, full in PLAN}
@@ -70,3 +73,58 @@ def test_criterion_2_three_minimal_count_agrees_to_14():
     assert set(rows) == set(range(4, nmax + 1))
     assert rows[4].formula == 1 and rows[5].formula == 1 and rows[6].formula == 2
     _pass(f"criterion 2: 3-minimal formula rows 4..{nmax}")
+
+
+def test_family_claims_catch_paths_in_place_of_spiders_and_single_hubs(monkeypatch):
+    monkeypatch.setattr(selftest, "spider", lambda m: path(2 * m + 1))
+    monkeypatch.setattr(selftest, "pkt", lambda k, t: path(k + 2 * t))
+    assert selftest.uniqueness_exceptions(10) == [
+        "n=6: the k=1 tree is not the single-hub member",
+        "n=7: the k=floor(n/2) tree is not the spider",
+        "n=8: the k=1 tree is not the single-hub member",
+        "n=9: the k=floor(n/2) tree is not the spider",
+        "n=10: the k=1 tree is not the single-hub member",
+    ]
+    # a path's sigma is its two ends; each pkt(k, t) is now the path on k + 2t
+    assert selftest.family_sigma_exceptions() == [
+        "spider(2): sigma labels ['1', '5']",
+        "spider(3): sigma labels ['1', '7']",
+        "spider(4): sigma labels ['1', '9']",
+        "spider(5): sigma labels ['1', '11']",
+        "spider(6): sigma labels ['1', '13']",
+        "pkt(5,1): sigma labels ['1', '7']",
+        "pkt(5,2): sigma labels ['1', '9']",
+        "pkt(5,3): sigma labels ['1', '11']",
+        "pkt(6,1): sigma labels ['1', '8']",
+        "pkt(6,2): sigma labels ['1', '10']",
+        "pkt(6,3): sigma labels ['1', '12']",
+        "pkt(7,1): sigma labels ['1', '9']",
+        "pkt(7,2): sigma labels ['1', '11']",
+        "pkt(7,3): sigma labels ['1', '13']",
+        "pkt(8,1): sigma labels ['1', '10']",
+        "pkt(8,2): sigma labels ['1', '12']",
+        "pkt(8,3): sigma labels ['1', '14']",
+        "pkt(4,1): sigma labels ['1', '6']",
+        "pkt(4,2): sigma labels ['1', '8']",
+        "pkt(4,3): sigma labels ['1', '10']",
+        "n=7: pkt(5,1) isomorphic to path(7)",
+        "n=8: pkt(6,1) isomorphic to path(8)",
+        "n=9: pkt(5,2) isomorphic to path(9)",
+        "n=9: pkt(7,1) isomorphic to path(9)",
+        "n=10: pkt(6,2) isomorphic to path(10)",
+        "n=10: pkt(8,1) isomorphic to path(10)",
+        "n=11: pkt(5,3) isomorphic to path(11)",
+        "n=11: pkt(7,2) isomorphic to path(11)",
+        "n=11: pkt(9,1) isomorphic to path(11)",
+        "n=12: pkt(6,3) isomorphic to path(12)",
+        "n=12: pkt(8,2) isomorphic to path(12)",
+        "n=12: pkt(10,1) isomorphic to path(12)",
+        "n=13: pkt(5,4) isomorphic to path(13)",
+        "n=13: pkt(7,3) isomorphic to path(13)",
+        "n=13: pkt(9,2) isomorphic to path(13)",
+        "n=13: pkt(11,1) isomorphic to path(13)",
+        "n=14: pkt(6,4) isomorphic to path(14)",
+        "n=14: pkt(8,3) isomorphic to path(14)",
+        "n=14: pkt(10,2) isomorphic to path(14)",
+        "n=14: pkt(12,1) isomorphic to path(14)",
+    ]

@@ -4,6 +4,7 @@ import pytest
 
 from primetrees import counting
 from primetrees.counting import (
+    COUNT_NMAX,
     count_3minimal_formula,
     count_minus2_critical_formula,
     count_table,
@@ -27,6 +28,21 @@ def partitions_exact(k: int, parts: int) -> int:
     return rec(k, 1, parts)
 
 
+def minus2_critical_closed_form(n: int) -> int:
+    """The count of prime trees with k = 2 as a closed form in q = n // 4."""
+    q, r = divmod(n, 4)
+    return (q * q - 1, q * q, q * (q + 1) - 1, q * (q + 1))[r]
+
+
+def three_minimal_closed_form(n: int) -> int:
+    """The count of 3-minimal trees as a nearest-integer bracket, with the
+    sizes below 7 pinned."""
+    if n <= 6:
+        return {4: 1, 5: 1, 6: 2}[n]
+    nearest = (2 * (n - 1) ** 2 + 12) // 24  # (n-1)^2 / 12, never a half integer
+    return nearest - (n - 4) // 2 + (n - 2) // 2 - 1
+
+
 @pytest.mark.parametrize("k, expected", [(2, 1), (3, 1), (4, 2), (10, 5)])
 def test_two_parts_examples(k, expected):
     assert partitions_two_parts(k) == expected
@@ -44,13 +60,16 @@ def test_partition_rejects_negative():
         partitions_two_parts(-1)
     with pytest.raises(ValueError):
         partitions_three_parts(-1)
+    # exact integer arithmetic: a float or a bool is refused, not counted
+    for count, k in ((partitions_two_parts, 5.0), (partitions_three_parts, True)):
+        with pytest.raises(GraphError, match=f"^k {k} is not an integer$"):
+            count(k)
 
 
 def test_bracket_never_half_integer():
     # the nearest-integer bracket sees only squares, which are 0/1/4/9 mod 12
     for k in range(0, 201):
         assert (k + 3) ** 2 % 12 in {0, 1, 4, 9}
-        assert (k - 1) ** 2 % 12 in {0, 1, 4, 9}
 
 
 @pytest.mark.parametrize(
@@ -72,6 +91,21 @@ def test_formulas_reject_below_stated_range():
         count_minus2_critical_formula(4)
     with pytest.raises(ValueError):
         count_3minimal_formula(3)
+
+
+def test_formulas_reject_non_integers():
+    for formula, n in ((count_minus2_critical_formula, 8.0), (count_3minimal_formula, 9.0)):
+        with pytest.raises(GraphError, match=f"^n {n} is not an integer$"):
+            formula(n)
+    with pytest.raises(GraphError, match="^n True is not an integer$"):
+        count_3minimal_formula(True)
+
+
+def test_family_sums_match_the_closed_forms():
+    for n in range(5, COUNT_NMAX + 1):
+        assert count_minus2_critical_formula(n) == minus2_critical_closed_form(n), n
+    for n in range(4, COUNT_NMAX + 1):
+        assert count_3minimal_formula(n) == three_minimal_closed_form(n), n
 
 
 def test_count_table_without_verification():

@@ -147,9 +147,19 @@ ROUTES = {
     ),
     "count_minus2_critical_formula": (
         ("noncritical_vertices", "the count of classes with k = 2", "count-critical2"),
+        (
+            "tests/test_counting.py::minus2_critical_closed_form",
+            "the exact value past enumeration",
+            "tests/test_counting.py::test_family_sums_match_the_closed_forms",
+        ),
     ),
     "count_3minimal_formula": (
         ("is_k_minimal", "the count of 3-minimal classes", "count-minimal3"),
+        (
+            "tests/test_counting.py::three_minimal_closed_form",
+            "the exact value past enumeration",
+            "tests/test_counting.py::test_family_sums_match_the_closed_forms",
+        ),
     ),
     "partitions_two_parts": (
         (
