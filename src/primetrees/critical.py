@@ -14,8 +14,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import partial
 from itertools import compress
+from operator import itemgetter
 
-from .graph import BRUTE_FORCE_GUARD, Graph, GraphError, TreeCert, as_tree, vertex_set
+from .graph import BRUTE_FORCE_GUARD, Graph, GraphError, TreeCert, _check_integer, as_tree, vertex_set
 from .modules import (
     ModuleWitness,
     is_prime_brute_force,
@@ -86,9 +87,10 @@ class ConditionReport(namedtuple("ConditionReport", "conditions")):
 
     @property
     def overall(self) -> bool:
-        return all(c.holds for c in self.conditions)
+        return all(map(_holds, self.conditions))
 
 
+_holds = itemgetter(1)
 # builds a report from its one field without the namedtuple's Python-level
 # __new__, on the checkers' per-call path
 _report = partial(tuple.__new__, ConditionReport)
@@ -126,43 +128,38 @@ class _LeafTable:
     `leaf_distance` is condition 1 of both characterizations: every two
     leaves at distance >= 3.  Both need n >= 5, where two leaves closer than
     3 are exactly two leaves sharing a support, so its witness is the
-    smallest such pair.  `rows` maps each leaf, in id order, to its support,
-    the support's degree and the support's neighbors.  `pendant` maps each
-    support with exactly one leaf to that leaf.  `kind` is an n-slot
-    bytearray that marks each vertex inner, leaf or partnered leaf;
-    `check_noncritical_set` copies it into its membership slots.
-    `failures` interns the checkers' failing verdicts met so far, keyed by
-    what their witness and note depend on, so a repeated failure costs a
-    lookup; a call adds at most one per condition.
+    smallest such pair.  `n` and `adj` are the tree's own.  `rows` holds one
+    tuple per leaf x, in id order: (x, its support s, s's neighbors, w), w
+    being s's other neighbor when deg(s) = 2 and -1 otherwise.  `pendant`
+    maps each support with exactly one leaf to that leaf.  `kind` is an
+    n-slot bytearray that marks each vertex inner, leaf or partnered leaf;
+    `check_noncritical_set` copies it into its membership slots.  `failures`
+    interns the checkers' failing verdicts met so far, keyed by what their
+    witness and note depend on, so a repeated failure costs a lookup; a call
+    adds at most one per condition.
     """
 
     # slotted: one table per certified tree, built once; only `failures` grows
-    __slots__ = ("leaf_distance", "rows", "partners", "pendant", "kind", "failures")
+    __slots__ = ("n", "adj", "leaf_distance", "rows", "partners", "pendant", "kind", "failures")
 
     def __init__(self, tree: TreeCert):
-        adj = tree.graph.adj
+        n, adj = self.n, self.adj = tree.graph.n, tree.graph.adj
         witness = tree_module_witness(tree)
-        if witness is None:
-            self.leaf_distance = _C1_HOLDS
-        else:
-            a, b = witness.members
-            self.leaf_distance = Condition(
-                1, False, witness.members, f"leaves {a} and {b} at distance 2"
-            )
+        self.leaf_distance = _C1_HOLDS if witness is None else Condition(
+            1, False, witness.members, "leaves {} and {} at distance 2".format(*witness.members)
+        )
         own = {support: tree.leaf_neighbors(support) for support in tree.supports}
-        self.rows: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+        rows = []
         self.partners: dict[int, tuple[int, ...]] = {}
-        self.kind = bytearray((_INNER,)) * tree.n
+        self.kind = bytearray((_INNER,)) * n
         for x in tree.leaves:
             support = adj[x][0]
-            nbrs = adj[support]
-            self.rows[x] = (support, len(nbrs), nbrs)
-            self.kind[x] = _LEAF
-            if len(nbrs) == 2:
-                close = own.get(_other_neighbor(tree, support, x))
-                if close:
-                    self.partners[x] = close
-                    self.kind[x] = _PARTNERED
+            w = _other_neighbor(tree, support, x) if len(adj[support]) == 2 else -1
+            rows.append((x, support, adj[support], w))
+            if own.get(w):  # never for w = -1
+                self.partners[x] = own[w]
+            self.kind[x] = _PARTNERED if x in self.partners else _LEAF
+        self.rows = tuple(rows)
         self.pendant = {support: leaves[0] for support, leaves in own.items() if len(leaves) == 1}
         self.failures: dict[tuple, Condition] = {}
 
@@ -179,24 +176,26 @@ def _leaf_table(tree: TreeCert) -> _LeafTable:
     return table
 
 
-def _read_members(tree: TreeCert, members) -> tuple[_LeafTable, set[int]]:
-    """The tree's leaf table and the set of a characterization's member ids,
-    for trees with n >= 5 and a nonempty set of valid ids; `members` may be
-    a one-shot iterator.  Errors come in the order n < 5, empty set,
-    out-of-range id; the caller tests the range, on its own pass over the
-    set or by its minimum and maximum, and `_refuse_outside` names the
-    smallest such id.
-    """
-    if tree.n < 5:
+def _read_members(tree: TreeCert, members) -> tuple[_LeafTable, set]:
+    """The tree's leaf table and the set of a characterization's members,
+    for trees with n >= 5 and a nonempty set; `members` may be a one-shot
+    iterator.  Errors come in the order n < 5, empty set, non-integer
+    member, out-of-range id; the caller tests the members, and
+    `_refuse_members` names the offending one."""
+    if tree.graph.n < 5:
         raise GraphError("the characterization is stated for trees with >= 5 vertices")
     chosen = set(members)
     if not chosen:
         raise GraphError("vertex set must be nonempty")
-    return _leaf_table(tree), chosen
+    return tree._leaf_table or _leaf_table(tree), chosen
 
 
-def _refuse_outside(tree: TreeCert, chosen: set[int]) -> None:
-    """Raise for the smallest member id outside 0..n-1."""
+def _refuse_members(tree: TreeCert, chosen: set) -> None:
+    """Raise for the first member, in set order, that is not an integer,
+    else for the smallest member id outside 0..n-1."""
+    for v in chosen:
+        if not isinstance(v, int):
+            _check_integer(v, "vertex")
     tree.graph.check_vertex(min(v for v in chosen if not 0 <= v < tree.n))
 
 
@@ -215,24 +214,28 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     Distances are read off the support structure: the members at distance 3
     from a leaf are those at distance 2 from its support, and a leaf whose
     support has degree 2 sees leaves below distance 4 only at the support's
-    other neighbor.  The per-tree facts come from the tree's leaf table, and
+    other neighbor w, whose count of member neighbors is all condition 3
+    reads there.  The per-tree facts come from the tree's leaf table, and
     one pass over the set of `members` (any iterable) yields every per-set
     fact, so past two n-slot arrays a call costs O(|X| + sum of member
-    degrees + leaves).
+    degrees + leaves), however wide a support is.
     """
     table, chosen = _read_members(tree, members)
-    n, adj, kind, failures = tree.n, tree.graph.adj, table.kind, table.failures
+    n, adj, kind, failures = table.n, table.adj, table.kind, table.failures
     # mark[v] holds member v's kind (never 0) and 0 elsewhere, so
     # mark.find(_INNER) is the smallest member that is not a leaf and
     # mark.find(_PARTNERED) the smallest member with a partner; near[w]
-    # counts the members adjacent to w
+    # counts the members adjacent to w; only the error path tests types
     mark, near, size = bytearray(n), [0] * n, len(chosen)
-    for v in chosen:
-        if not 0 <= v < n:
-            _refuse_outside(tree, chosen)
-        mark[v] = kind[v]
-        for w in adj[v]:
-            near[w] += 1
+    try:
+        for v in chosen:
+            if not 0 <= v < n:
+                _refuse_members(tree, chosen)
+            mark[v] = kind[v]
+            for w in adj[v]:
+                near[w] += 1
+    except TypeError:
+        _refuse_members(tree, chosen)
 
     non_leaf = mark.find(_INNER)
     if non_leaf >= 0:
@@ -249,35 +252,29 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
         c2 = _C2_HOLDS
 
     c3 = _C3_HOLDS
-    for x, (support, degree, nbrs) in table.rows.items():
+    for x, support, nbrs, w in table.rows:
         if mark[x]:
             continue
-        if degree == 2:
-            hits = near[nbrs[0]] + near[nbrs[1]] - 2 * mark[support]
+        if w >= 0:
+            # near[x] counts only the support, so near[w] holds the rest
+            hits = near[w] - mark[support]
             if hits == 1:
                 continue
         else:
-            hits = sum(near[w] for w in nbrs) - degree * mark[support]
+            hits = sum(map(near.__getitem__, nbrs)) - len(nbrs) * mark[support]
         key = ("outside leaf", x, hits)
-        c3 = failures.get(key) or failures.setdefault(
-            key,
-            Condition(
-                3, False, (x,), f"leaf {x}: support degree {degree}, {hits} member(s) at distance 3"
-            ),
-        )
+        c3 = failures.get(key) or failures.setdefault(key, Condition(
+            3, False, (x,), f"leaf {x}: support degree {len(nbrs)}, {hits} member(s) at distance 3"
+        ))
         break
 
     close = mark.find(_PARTNERED)
     if close >= 0:
         y = table.partners[close][0]
         key = ("member with a close leaf", close)
-        c4 = failures.get(key) or failures.setdefault(
-            key,
-            Condition(
-                4, False, (close, y),
-                f"member {close} has a degree-2 support but leaf {y} is at distance 3",
-            ),
-        )
+        c4 = failures.get(key) or failures.setdefault(key, Condition(
+            4, False, (close, y), f"member {close} has a degree-2 support but leaf {y} is at distance 3"
+        ))
     else:
         c4 = _C4_HOLDS
     return _report(((table.leaf_distance, c2, c3, c4),))

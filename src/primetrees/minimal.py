@@ -22,7 +22,7 @@ from .critical import (
     CriticalFamily,
     _other_neighbor,
     _read_members,
-    _refuse_outside,
+    _refuse_members,
     _report,
 )
 from .graph import MINIMALITY_GUARD, Graph, GraphError, TreeCert, _check_integer, certify_tree, vertex_set
@@ -140,12 +140,19 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     support members.
     """
     table, chosen = _read_members(tree, members)
-    if min(chosen) < 0 or max(chosen) >= tree.n:
-        _refuse_outside(tree, chosen)
-    failures, partners = table.failures, table.partners
+    n = table.n
+    try:
+        for v in chosen:
+            if not 0 <= v < n:
+                _refuse_members(tree, chosen)
+        if type(sum(chosen)) is not int:  # a float in range, say
+            _refuse_members(tree, chosen)
+    except TypeError:
+        _refuse_members(tree, chosen)
+    failures, partners, pendant = table.failures, table.partners, table.pendant
 
     c2 = _C2_HOLDS
-    for x, (support, _, _) in table.rows.items():
+    for x, support, _, _ in table.rows:
         if x not in chosen and support not in chosen:
             key = ("uncovered leaf", x)
             c2 = failures.get(key) or failures.setdefault(
@@ -155,19 +162,15 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
             break
 
     c3 = _C3_HOLDS
-    for xi in sorted(chosen.intersection(table.pendant)):
-        leaf = table.pendant[xi]
+    for xi in sorted(chosen.intersection(pendant)):
+        leaf = pendant[xi]
         if leaf in chosen or not chosen.isdisjoint(partners.get(leaf, ())):
             continue
         key = ("support member", xi)
-        c3 = failures.get(key) or failures.setdefault(
-            key,
-            Condition(
-                3, False, (xi,),
-                f"support member {xi} (pendant leaf outside): degree "
-                f"{table.rows[leaf][1]}, no member leaf at distance 2",
-            ),
-        )
+        c3 = failures.get(key) or failures.setdefault(key, Condition(
+            3, False, (xi,), f"support member {xi} (pendant leaf outside): degree "
+            f"{len(table.adj[xi])}, no member leaf at distance 2"
+        ))
         break
     return _report(((table.leaf_distance, c2, c3),))
 

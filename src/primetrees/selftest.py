@@ -213,11 +213,10 @@ def uniqueness_exceptions(n_max: int) -> list[str]:
                 bad.append(f"n={n}: {len(found)} trees with k={stated}, expected {expected}")
             elif found and canonical_form(found[0]) != canonical_form(member(n).cert):
                 bad.append(f"n={n}: the k={stated} tree is not {name}")
-        if n <= 12:
-            zero = sum(1 for _, k in trees if k == 0)
-            expected_count = 1 if n == 4 else 0
-            if zero != expected_count:
-                bad.append(f"n={n}: {zero} prime trees with empty set, expected {expected_count}")
+        zero = sum(1 for _, k in trees if k == 0)
+        expected_count = 1 if n == 4 else 0
+        if zero != expected_count:
+            bad.append(f"n={n}: {zero} prime trees with empty set, expected {expected_count}")
     return bad
 
 

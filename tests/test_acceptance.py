@@ -75,6 +75,26 @@ def test_criterion_2_three_minimal_count_agrees_to_14():
     _pass(f"criterion 2: 3-minimal formula rows 4..{nmax}")
 
 
+def test_empty_set_claim_is_checked_past_twelve_vertices(monkeypatch):
+    emptied = []
+    sigma = selftest.noncritical_vertices
+
+    def patched(tree):
+        found = sigma(tree)
+        if tree.n == 13 and found.k == 2 and not emptied:
+            emptied.append(tree)
+            return found._replace(vertices=())
+        return found
+
+    # one prime tree on 13 vertices with two non-critical vertices reads as
+    # having none; no other claim at n = 13 counts trees with k = 2
+    monkeypatch.setattr(selftest, "noncritical_vertices", patched)
+    assert selftest.uniqueness_exceptions(13) == [
+        "n=13: 1 prime trees with empty set, expected 0",
+    ]
+    assert len(emptied) == 1
+
+
 def test_family_claims_catch_paths_in_place_of_spiders_and_single_hubs(monkeypatch):
     monkeypatch.setattr(selftest, "spider", lambda m: path(2 * m + 1))
     monkeypatch.setattr(selftest, "pkt", lambda k, t: path(k + 2 * t))

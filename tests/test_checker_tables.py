@@ -2,7 +2,8 @@
 tree, against a local copy of the per-call checkers they replaced: the full
 report (every condition's verdict, witness and note) or the exact error
 message, on every tree with 5 <= n <= 9 and every nonempty subset, and on
-random trees with hostile member lists, given as lists and as generators."""
+random trees with hostile member lists (non-integer members included), given
+as lists and as generators."""
 
 from __future__ import annotations
 
@@ -10,13 +11,14 @@ import sys
 import threading
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import labeled_trees, prime_trees
 from primetrees.critical import Condition, ConditionReport, check_noncritical_set
 from primetrees.enumeration import all_trees
-from primetrees.families import pmn
+from primetrees.families import path, pmn
 from primetrees.graph import GraphError, TreeCert, vertex_set
 from primetrees.minimal import check_minimal_set
 from primetrees.modules import tree_module_witness
@@ -36,9 +38,13 @@ def _leaf_distance_condition(tree: TreeCert) -> Condition:
 def _validated_set(tree: TreeCert, members) -> tuple[int, ...]:
     if tree.n < 5:
         raise GraphError("the characterization is stated for trees with >= 5 vertices")
-    chosen = vertex_set(members)
+    chosen = set(members)
     if not chosen:
         raise GraphError("vertex set must be nonempty")
+    for v in chosen:
+        if not isinstance(v, int):
+            raise GraphError(f"vertex {v!r} is not an integer")
+    chosen = vertex_set(chosen)
     for v in chosen:
         tree.graph.check_vertex(v)
     return chosen
@@ -181,6 +187,10 @@ def test_checkers_match_the_per_call_oracle_on_hostile_sets(tree, data):
     )
     # duplicates, out-of-range ids, internal vertices and sets past floor(n/2)
     members = data.draw(st.lists(vertex, max_size=2 * n), label="members")
+    # and a few members that are not integers, the first in set order named
+    stray = st.one_of(st.floats(), st.text(max_size=2), st.none())
+    for value in data.draw(st.lists(stray, max_size=2), label="non-integers"):
+        members.insert(data.draw(st.integers(0, len(members)), label="at"), value)
     for _ in range(2):  # the second round reads the table the first one built
         for drawn in (members, list(tree.leaves) + members):
             for check, oracle in PAIRS:
@@ -188,6 +198,23 @@ def test_checkers_match_the_per_call_oracle_on_hostile_sets(tree, data):
                 assert _outcome(check, tree, drawn) == expected
                 # a one-shot iterator is read once, to the same report or error
                 assert _outcome(check, tree, (v for v in drawn)) == expected
+
+
+def test_checkers_refuse_a_non_integer_member_before_any_verdict():
+    tree = path(6).cert
+    for check in (check_noncritical_set, check_minimal_set):
+        for members, message in (
+            ([0, 2.5], "vertex 2.5 is not an integer"),
+            ([2.0], "vertex 2.0 is not an integer"),
+            ([9, "1"], "vertex '1' is not an integer"),
+            ((v for v in (None, 3)), "vertex None is not an integer"),
+            ([3, 9], "vertex 9 out of range 0..5"),
+        ):
+            with pytest.raises(GraphError) as caught:
+                check(tree, members)
+            assert str(caught.value) == message, (check, members)
+        with pytest.raises(GraphError, match=">= 5 vertices"):
+            check(path(4).cert, [2.5])
 
 
 def test_threads_sharing_one_fresh_tree_get_the_oracle_reports():

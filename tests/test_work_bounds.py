@@ -1,19 +1,22 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
 byte encodings per enumeration, decodings and encodings per labeled sweep,
 canonical codes per classification, per-tree facts per characterization
-check, subtree lists per minimality scan, sets checked per k-minimality test
-and certificates per extraction, and heap work per extraction; and on the
-canonical coder's memory."""
+check, time per characterization check behind a wide hub, subtree lists per
+minimality scan, sets checked per k-minimality test and certificates per
+extraction, and heap work per extraction; and on the canonical coder's
+memory."""
 
 from __future__ import annotations
 
 import concurrent.futures
 import random
+import time
 import tracemalloc
 from itertools import combinations
 
 from primetrees import critical, enumeration, minimal, modules
 from primetrees.cli import run
+from primetrees.critical import Condition, ConditionReport
 from primetrees.enumeration import all_tree_codes, canonical_form, labeled_tree_class_codes
 from primetrees.families import path, pkt, pmn, spider
 from primetrees.graph import build_graph, certify_tree
@@ -173,6 +176,47 @@ def test_checkers_build_the_per_tree_facts_once_per_tree(monkeypatch):
     # condition 1 is a per-tree fact: one witness search, not one per call
     assert subsets == 2**tree.n - 1
     assert calls == [tree.n]
+
+
+def test_checkers_stay_linear_when_one_hub_decides_every_outside_leaf():
+    c1 = Condition(1, True, None, "every two leaves at distance >= 3")
+    critical_holds = ConditionReport((
+        c1,
+        Condition(2, True, None, "all members are leaves, size within floor(n/2)"),
+        Condition(
+            3, True, None,
+            "each outside leaf has a degree-2 support and exactly one member at distance 3",
+        ),
+        Condition(
+            4, True, None,
+            "members with a degree-2 support keep every other leaf at distance >= 4",
+        ),
+    ))
+    minimal_c3 = Condition(
+        3, True, None,
+        "support members without their pendant leaf have degree 2 and a member leaf at distance 2",
+    )
+    cases = (
+        # the hub has degree 50,002 and its own leaf is sigma; each of the
+        # 50,000 outside leaves on a pendant 2-path has its member at the hub
+        (pkt(4, 50000), ConditionReport((
+            c1, Condition(2, False, (0,), "leaf 0 and its support 1 are both outside"), minimal_c3,
+        ))),
+        # the centre has degree 50,000 and sigma is every leaf
+        (spider(50000), ConditionReport((
+            c1, Condition(2, True, None, "every leaf or its support is in the set"), minimal_c3,
+        ))),
+    )
+    for family, minimal_report in cases:
+        tree = family.cert
+        sigma = critical.noncritical_vertices(tree).vertices
+        start = time.perf_counter()
+        assert critical.check_noncritical_set(tree, sigma) == critical_holds
+        assert check_minimal_set(tree, sigma) == minimal_report
+        elapsed = time.perf_counter() - start
+        # about 10 ms on 2 CPUs; a count of the hub's members kept per
+        # outside leaf would take minutes
+        assert elapsed < 2.0, f"{tree.n} vertices: took {elapsed:.2f}s, budget 2s"
 
 
 def test_minimality_scan_lists_the_subtrees_once_per_tree(monkeypatch):
