@@ -1,8 +1,8 @@
 """Closed-form counts of special tree classes, paired with enumeration.
 
-All arithmetic is exact integer arithmetic; the nearest-integer bracket in
-the three-part partition formula never meets a half integer because squares
-are 0, 1, 4, or 9 mod 12.
+All arithmetic is exact integer arithmetic; the three-part partition
+count is the integer nearest k^2/12, which is never a half integer because
+squares are 0, 1, 4, or 9 mod 12.
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ CountKind = Literal["critical2", "minimal3"]
 COUNT_NMAX = 10**5
 
 
-def _round_nearest(num: int, den: int) -> int:
-    """Nearest integer to num/den, exactly; half integers are rejected."""
-    if (2 * num + den) % (2 * den) == 0:
-        raise ArithmeticError(f"{num}/{den} is a half integer; no nearest integer")
-    return (2 * num + den) // (2 * den)
-
-
 def partitions_two_parts(k: int) -> int:
     """Number of partitions of k into exactly 2 positive parts: floor(k/2)."""
     _check_integer(k, "k")
@@ -39,15 +32,12 @@ def partitions_two_parts(k: int) -> int:
 
 
 def partitions_three_parts(k: int) -> int:
-    """Number of partitions of k into exactly 3 positive parts.
-
-    Uses the at-most-3-parts bracket [(k+3)^2 / 12] minus the counts with
-    fewer parts.
-    """
+    """Number of partitions of k into exactly 3 positive parts: the integer
+    nearest k^2/12, (k^2 + 6) // 12, since k^2 mod 12 is never 6."""
     _check_integer(k, "k")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _round_nearest((k + 3) ** 2, 12) - k // 2 - 1
+    return (k * k + 6) // 12
 
 
 def count_minus2_critical_formula(n: int) -> int:

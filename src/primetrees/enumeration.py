@@ -6,17 +6,21 @@ exactly when they are isomorphic.  The encoder roots a tree at its centroid
 the classic 1...0 parenthesis string with children sorted by their encoded
 byte strings; a bicentroidal tree takes the lexicographically smaller of its
 two rooted encodings.  It reads a parent array and a children-first order,
-so a level sequence, a BFS or a Prüfer decoding feeds it without adjacency.
+so a BFS or a Prüfer decoding feeds it without adjacency.
 
-Unlabeled generation is the free-tree generator of Wright, Richmond, Odlyzko
-and McKay (SIAM J. Comput. 15(2), 1986): it walks centre-rooted level
-sequences and yields exactly one per free tree, so each class is encoded
-once.  The independent oracle decodes all n^(n-2) labeled trees from their
-sequences and names each subtree as its leaf is removed (Aho, Hopcroft and
-Ullman 1974): a prime, interned by the product of its children's names, which
-by unique factorisation fixes their multiset, so equal names mean isomorphic
-rooted trees.  Each tree is rooted at n-1 and encoded with the one byte coder
-only when its rooted name is new, so at most once per rooted tree.
+Unlabeled generation writes those codes without building a tree, by
+Otter's centroid decomposition (Ann. Math. 49, 1948).  A rooted code of k
+vertices is 1, the codes of a multiset of rooted trees of k-1 vertices in
+all, then 0; drawing each multiset in order from a byte-sorted pool writes
+its codes already sorted.  A tree with one centroid is that centroid with a
+multiset of branches of under n/2 vertices each; a tree with two is an edge
+joining two rooted halves of n/2 vertices, coded at the root that gives the
+smaller code.  The independent oracle decodes all n^(n-2) labeled trees from
+their sequences and names each subtree as its leaf is removed (Aho, Hopcroft
+and Ullman 1974): a prime, interned by the product of its children's names,
+which by unique factorisation fixes their multiset, so equal names mean
+isomorphic rooted trees.  Each tree is rooted at n-1 and encoded with the one
+byte coder only when its rooted name is new, so at most once per rooted tree.
 """
 
 from __future__ import annotations
@@ -136,57 +140,20 @@ def decode_canonical(code: bytes) -> TreeCert:
 
 
 # ---------------------------------------------------------------------------
-# free trees as centre-rooted level sequences
+# free trees from their centroids
 
 
-def _free_level_sequences(n: int) -> Iterator[list[int]]:
-    """One level sequence per free tree on n vertices, rooted at its centre.
-
-    Wright, Richmond, Odlyzko and McKay (1986).  Rooted level sequences are
-    walked in decreasing order from the path rooted at its centre.  A
-    sequence is kept when the root's first subtree ("left") is no higher than
-    the rest of the tree and, at equal heights, has no more vertices and is
-    not lexicographically later; that roots every tree at its centre and a
-    bicentral tree at one of its two centres only.  A rejected sequence's
-    successor is taken at the end of its left subtree, skipping every
-    sequence that keeps that subtree; when that subtree ended deeper than
-    level 2, the tail is replaced by a path from the root that reaches as
-    deep as the new left subtree, so the rest is higher than it.  The
-    yielded list is reused; copy it to keep it.
-    """
-    if n <= 2:
-        yield list(range(n))
-        return
-    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while True:
-        try:
-            m = levels.index(1, 2)  # where the root's second subtree starts
-        except ValueError:
-            m = n
-        left = [x - 1 for x in levels[1:m]]
-        rest = [0] + levels[m:]
-        lh, rh = max(left), max(rest)
-        if rh > lh or (rh == lh and (len(left), left) <= (len(rest), rest)):
-            yield levels
-            p = n - 1
-            while levels[p] == 1:
-                p -= 1
-            if p == 0:
-                return
-            raise_tail = False
-        else:
-            p = m - 1
-            raise_tail = levels[p] > 2
-        # level-sequence successor at p: tile the tail from p's parent block
-        q = p - 1
-        while levels[q] != levels[p] - 1:
-            q -= 1
-        for i in range(p, n):
-            levels[i] = levels[i - p + q]
-        if raise_tail:
-            # the tiled tail (levels >= 2) joined the left subtree
-            h = max(levels)
-            levels[n - h:] = range(1, h + 1)
+def _multisets(pool: list[bytes], total: int) -> list[tuple[bytes, ...]]:
+    """Every multiset of codes from `pool` whose sizes (half their lengths)
+    sum to `total`, as a tuple in pool order.  An unbounded knapsack from the
+    pool's end: each code goes in front of the multisets of the codes after
+    it, as often as it fits, so a byte-sorted pool gives sorted tuples."""
+    table: list[list[tuple[bytes, ...]]] = [[()]] + [[] for _ in range(total)]
+    for code in reversed(pool):
+        size = len(code) // 2
+        for r in range(size, total + 1):
+            table[r] += [(code, *rest) for rest in table[r - size]]
+    return table[total]
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 5.0 is refused, not served as 5
@@ -195,15 +162,23 @@ def all_tree_codes(n: int) -> tuple[bytes, ...]:
     _check_integer(n, "vertex count")
     if not 1 <= n <= CLASS_GUARD:
         raise GraphError(f"tree enumeration supports 1..{CLASS_GUARD} vertices, got {n}")
-    codes = []
-    order = range(n - 1, -1, -1)  # a level sequence lists each vertex before its children
-    for levels in _free_level_sequences(n):
-        parent = [-1] * n
-        last_at_level = [0] * n
-        for i in range(1, n):
-            parent[i] = last_at_level[levels[i] - 1]
-            last_at_level[levels[i]] = i
-        codes.append(_canonical_from_parents(parent, order))
+    kids: dict[bytes, tuple[bytes, ...]] = {b"10": ()}  # rooted code: its children
+    for k in range(2, n // 2 + 1):  # rooted codes of k vertices, from the smaller ones
+        for parts in _multisets(sorted(kids), k - 1):
+            kids[b"".join((b"1", *parts, b"0"))] = parts
+    pool = sorted(kids)
+    # one centroid, the root: every branch holds under half the tree
+    codes = [
+        b"".join((b"1", *parts, b"0"))
+        for parts in _multisets([c for c in pool if len(c) < n], n - 1)
+    ]
+    # two centroids (n even): an edge joins halves a and b; root at either
+    halves = [c for c in pool if len(c) == n]
+    for i, a in enumerate(halves):
+        for b in halves[i:]:
+            at_a = b"".join((b"1", *sorted((*kids[a], b)), b"0"))
+            at_b = b"".join((b"1", *sorted((*kids[b], a)), b"0"))
+            codes.append(min(at_a, at_b))
     return tuple(sorted(codes))
 
 

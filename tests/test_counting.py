@@ -67,9 +67,9 @@ def test_partition_rejects_negative():
 
 
 def test_bracket_never_half_integer():
-    # the nearest-integer bracket sees only squares, which are 0/1/4/9 mod 12
+    # (k^2 + 6) // 12 rounds k^2/12 to the nearest integer: k^2 mod 12 is 0/1/4/9, never 6
     for k in range(0, 201):
-        assert (k + 3) ** 2 % 12 in {0, 1, 4, 9}
+        assert k * k % 12 in {0, 1, 4, 9}
 
 
 @pytest.mark.parametrize(

@@ -76,10 +76,19 @@ def test_class_counts_match_published_table():
 
 
 def test_class_codes_are_pinned_byte_for_byte():
-    # the other code tests compare the coder with itself; this pins its bytes
+    # most code tests compare the coder with itself; this pins the generated bytes
     data = b"".join(c + b"\n" for n in range(1, 15) for c in all_tree_codes(n))
     digest = "78bbef247e0d19c2917859f68aba7295dd9c56ef76289a912ea09ced623fb3e4"
     assert hashlib.sha256(data).hexdigest() == digest
+    # one size at a time past 14, in the CI class-guard step's format
+    pins = {
+        15: (7741, "834c10e12d8b3b10d5f777169c367e5d49879f5b93b6bf8855aa65c3f72e12b0"),
+        16: (19320, "7adb74717e5c6653bfd5552d6ed6ad8ecd15bea635300dac92ebfc08e081033d"),
+    }
+    for n, (count, digest) in pins.items():
+        codes = all_tree_codes(n)
+        got = hashlib.sha256(b"".join(c + b"\n" for c in codes)).hexdigest()
+        assert (len(codes), got) == (count, digest), n
 
 
 def automorphism_count(tree):
@@ -141,7 +150,8 @@ def test_no_duplicate_codes_and_sorted_order():
 
 
 def test_decode_round_trip():
-    for n in range(1, 9):
+    # the generator never calls the coder, so this compares two constructions
+    for n in range(1, 14):
         for code in all_tree_codes(n):
             tree = decode_canonical(code)
             assert tree.n == n
