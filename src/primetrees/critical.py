@@ -178,25 +178,37 @@ def _leaf_table(tree: TreeCert) -> _LeafTable:
 
 def _read_members(tree: TreeCert, members) -> tuple[_LeafTable, set]:
     """The tree's leaf table and the set of a characterization's members,
-    for trees with n >= 5 and a nonempty set; `members` may be a one-shot
-    iterator.  Errors come in the order n < 5, empty set, non-integer
-    member, out-of-range id; the caller tests the members, and
-    `_refuse_members` names the offending one."""
+    for trees with n >= 5 and a nonempty set.  Errors come in the order
+    n < 5, empty set, non-integer member, out-of-range id; the caller tests
+    the members, and `_refuse_members` names the offending one."""
     if tree.graph.n < 5:
         raise GraphError("the characterization is stated for trees with >= 5 vertices")
-    chosen = set(members)
+    chosen = _member_set(tree, members)
     if not chosen:
         raise GraphError("vertex set must be nonempty")
     return tree._leaf_table or _leaf_table(tree), chosen
 
 
-def _refuse_members(tree: TreeCert, chosen: set) -> None:
-    """Raise for the first member, in set order, that is not an integer,
-    else for the smallest member id outside 0..n-1."""
-    for v in chosen:
+def _member_set(tree: TreeCert, members) -> set:
+    """The set of `members`, which may be a one-shot iterator; a member that
+    cannot be hashed is refused as a non-integer, naming the first
+    non-integer in the order read."""
+    if iter(members) is members:  # read once, kept to name a bad member
+        members = tuple(members)
+    try:
+        return set(members)
+    except TypeError:
+        _refuse_members(tree, members)
+        raise
+
+
+def _refuse_members(tree: TreeCert, members) -> None:
+    """Raise for the first member, in iteration order (set order for a
+    set), that is not an integer, else for the smallest id outside 0..n-1."""
+    for v in members:
         if not isinstance(v, int):
             _check_integer(v, "vertex")
-    tree.graph.check_vertex(min(v for v in chosen if not 0 <= v < tree.n))
+    tree.graph.check_vertex(min(v for v in members if not 0 <= v < tree.n))
 
 
 def _other_neighbor(tree: TreeCert, v: int, known: int) -> int:

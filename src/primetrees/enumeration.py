@@ -15,25 +15,26 @@ all, then 0; drawing each multiset in order from a byte-sorted pool writes
 its codes already sorted.  A tree with one centroid is that centroid with a
 multiset of branches of under n/2 vertices each; a tree with two is an edge
 joining two rooted halves of n/2 vertices, coded at the root that gives the
-smaller code.  The independent oracle decodes all n^(n-2) labeled trees from
-their sequences and names each subtree as its leaf is removed (Aho, Hopcroft
-and Ullman 1974): a prime, interned by the product of its children's names,
-which by unique factorisation fixes their multiset, so equal names mean
-isomorphic rooted trees.  Each tree is rooted at n-1 and encoded with the one
-byte coder only when its rooted name is new, so at most once per rooted tree.
+smaller code.  The independent oracle decodes all n^(n-2) labeled trees and
+names each subtree as its leaf is removed (Aho, Hopcroft and Ullman 1974): a
+prime, interned by the product of its children's names, which by unique
+factorisation fixes their multiset, so equal names mean isomorphic rooted
+trees.  Sequences arranging one multiset share their steps up to their first
+difference, in one depth-first walk.  A tree rooted at n-1 is rebuilt and
+encoded by the one byte coder only when its rooted name is new.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import count, product
+from itertools import combinations_with_replacement, count
 from typing import Iterator
 
 from .graph import GraphError, TreeCert, _check_integer, build_graph, certify_tree
 
 CLASS_GUARD = 18
-LABELED_GUARD = 9
+LABELED_GUARD = 10
 
 
 # ---------------------------------------------------------------------------
@@ -192,46 +193,66 @@ def all_trees(n: int) -> Iterator[TreeCert]:
 # labeled trees (independent oracle)
 
 
-def _prufer_trees(n: int, heads, lasts, names: dict[int, int]) -> Iterator[list[int]]:
-    """Parent arrays, rooted at n-1 (parent -1), of the labeled trees on
-    0..n-1 whose sequences are a head of n-3 entries and then a last entry,
-    for every head and last entry; only the first tree of each rooted name.
-    Each step removes the smallest leaf and joins it to the next entry (n-1
-    after the last), its parent.  The leaf's subtree is then final, so the
-    step multiplies the parent's product by names[the leaf's product], a new
-    product taking the next prime of a stream opened per call, so the names
-    never run out; with names = {1: 1} no prime is read and only the first
-    tree is yielded.  The yielded list is reused.  Unchecked: n >= 3 and
-    every entry in 0..n-1.
+def _prufer_trees(n: int, prefix, tails, names: dict, seen: set) -> Iterator[list[int]]:
+    """Parent arrays, rooted at n-1 (parent -1), of the first tree of each
+    rooted name not in `seen` among the labeled trees on 0..n-1 whose
+    sequences are `prefix` then an arrangement of a sorted tail in `tails`.
+    Each step joins the smallest leaf to the next entry (n-1 after the last)
+    and multiplies that parent's product by the leaf's name, names[its
+    product], a new product taking the next prime of a stream opened per
+    call (none if names = {1: 1}).  Unchecked: n >= 2, entries in 0..n-1.
     """
-    parent = [-1] * n
-    seen: set[int] = set()
-    primes = _primes()
-    for head in heads:
-        base = [1] * n + [1]  # the slot past n-1 stops the last step's scan
-        for x in head:
-            base[x] += 1
-        steps = [*head, 0, n - 1]
-        for y in lasts:
-            steps[-2] = y
-            degree = base[:]
-            degree[y] += 1
-            prod = [1] * n
-            leaf = ptr = degree.index(1)
-            for x in steps:
-                parent[leaf] = x
-                name = names.get(prod[leaf])
-                if name is None:
-                    name = names[prod[leaf]] = next(primes)
-                prod[x] *= name
-                degree[x] -= 1
-                if degree[x] == 1 and x < ptr:
-                    leaf = x
-                else:
-                    leaf = ptr = degree.index(1, ptr + 1)
-            if prod[n - 1] not in seen:
-                seen.add(prod[n - 1])
-                yield parent
+    last, parent = n - 1, [-1] * n
+    primes, get = _primes(), names.get
+
+    def intern(p: int) -> int:
+        names[p] = q = next(primes)
+        return q
+
+    def branch(k: int, leaf: int, ptr: int) -> None:  # seq[-k:] is left, k >= 2
+        name = get(prod[leaf]) or intern(prod[leaf])
+        nxt = degree.index(1, ptr + 1)  # the smallest leaf past ptr
+        rest = [x for x in distinct if degree[x] > 1]
+        for x in rest:
+            d, p, seq[-k] = degree[x], prod[x], x
+            degree[x], prod[x] = d - 1, p * name
+            leaf2 = ptr2 = nxt if d > 2 or x > nxt else x  # x, if now a leaf below nxt
+            if leaf2 < ptr:
+                ptr2 = ptr
+            if k > 2:
+                branch(k - 1, leaf2, ptr2)
+            else:  # the last entry z, then z or else the leaf past ptr2 joins n-1
+                z = x if d > 2 else rest[x == rest[0]]
+                q = get(prod[leaf2]) or intern(prod[leaf2])
+                w = prod[z] * q if z != last else prod[degree.index(1, ptr2 + 1)]
+                root = prod[last] * (get(w) or intern(w)) * (q if z == last else 1)
+                if root not in seen:
+                    seen.add(root)
+                    found.append((*seq[:-1], z))
+            degree[x], prod[x] = d, p
+
+    for tail in tails:
+        degree = [1] * n + [1]  # the slot past n-1 stops the last step's scan
+        for x in (*prefix, *tail):
+            degree[x] += 1
+        prod = [1] * n
+        leaf = ptr = degree.index(1)
+        for x in prefix if len(tail) > 1 else (*prefix, *tail, last):
+            parent[leaf] = x
+            prod[x] *= get(prod[leaf]) or intern(prod[leaf])
+            degree[x] -= 1
+            if degree[x] == 1 and x < ptr:
+                leaf = x
+            else:
+                leaf = ptr = degree.index(1, ptr + 1)
+        if len(tail) > 1:  # its arrangements share their steps up to their first difference
+            seq, distinct, found = [*prefix, *tail], sorted(set(tail)), []
+            branch(len(tail), leaf, ptr)
+            for walk in found:  # rebuild each new name's tree from its sequence
+                yield from _prufer_trees(n, walk, [()], names, set())
+        elif prod[last] not in seen:
+            seen.add(prod[last])
+            yield parent
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -246,7 +267,7 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
         _check_integer(x, "sequence entry")
         if not 0 <= x < n:
             raise GraphError(f"sequence entry {x} out of range")
-    parent = next(_prufer_trees(n, [seq[:-1]], seq[-1:], {1: 1})) if n > 2 else [1, -1]
+    parent = next(_prufer_trees(n, seq, [()], {1: 1}, set()))
     return sorted((min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0)
 
 
@@ -269,9 +290,9 @@ def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
     """Canonical codes of all labeled trees whose sequence starts with `prefix`:
     the walk yields the first tree of each rooted name, and each is encoded."""
     n, prefix = task
-    heads = (prefix + tail for tail in product(range(n), repeat=(n - 3) - len(prefix)))
+    tails = combinations_with_replacement(range(n), n - 2 - len(prefix))
     codes: set[bytes] = set()
-    for parent in _prufer_trees(n, heads, range(n), {}):
+    for parent in _prufer_trees(n, prefix, tails, {}, set()):
         order = [n - 1]  # a BFS from the root; reversed, children first
         for u in order:
             order += [v for v, p in enumerate(parent) if p == u]

@@ -20,6 +20,7 @@ from .critical import (
     Condition,
     ConditionReport,
     CriticalFamily,
+    _member_set,
     _other_neighbor,
     _read_members,
     _refuse_members,
@@ -110,10 +111,13 @@ def prime_proper_subgraph_witness(
         raise GraphError(
             f"tree on {tree.n} vertices is too large for the definitional scan (guard {guard})"
         )
-    chosen = vertex_set(members)
-    for v in chosen:
-        tree.graph.check_vertex(v)
-    want = sum(1 << v for v in chosen)
+    chosen = _member_set(tree, members)
+    try:  # a non-integer fails the shift; only then are the types tested
+        if any(not 0 <= v < tree.n for v in chosen):
+            _refuse_members(tree, chosen)
+        want = sum(1 << v for v in chosen)
+    except TypeError:
+        _refuse_members(tree, chosen)
     for mask in _prime_proper_subtrees(tree):
         if mask & want == want:
             return _mask_members(mask)
@@ -277,9 +281,14 @@ def extract_minimal_subtree(tree: TreeCert, members) -> tuple[TreeCert, tuple[in
         raise GraphError("extraction needs a prime tree")
     n, adj = tree.n, tree.graph.adj
     pin = bytearray(n)
-    for v in vertex_set(members):
-        tree.graph.check_vertex(v)
-        pin[v] = 1
+    chosen = _member_set(tree, members)
+    try:  # a non-integer fails to index; only then are the types tested
+        for v in chosen:
+            if not 0 <= v < n:
+                _refuse_members(tree, chosen)
+            pin[v] = 1
+    except TypeError:
+        _refuse_members(tree, chosen)
     deg = list(map(len, adj))
     xor = [reduce(ixor, nbrs, 0) for nbrs in adj]
     pend = [-1] * n

@@ -5,7 +5,7 @@ Each sweep returns a list of human-readable exceptions; an empty list means
 the invariant held everywhere in the swept range.  The sweeps deliberately
 pit independent routes against each other: tree criterion vs subset scan,
 condition checkers vs definitional brute force, closed formulas vs
-exhaustive enumeration, successor generation vs labeled-sequence collapse.
+exhaustive enumeration, Otter's multiset join vs labeled-sequence collapse.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def primality_oracle_exceptions(n_max: int) -> list[str]:
 
 
 def class_count_oracle_exceptions(n_max: int) -> list[str]:
-    """Successor generation vs de-duplicated labeled-sequence sweep."""
+    """Otter's multiset join (all_tree_codes) vs the de-duplicated labeled sweep."""
     bad = []
     for n in range(1, n_max + 1):
         mine = frozenset(all_tree_codes(n))

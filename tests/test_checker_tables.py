@@ -2,8 +2,9 @@
 tree, against a local copy of the per-call checkers they replaced: the full
 report (every condition's verdict, witness and note) or the exact error
 message, on every tree with 5 <= n <= 9 and every nonempty subset, and on
-random trees with hostile member lists (non-integer members included), given
-as lists and as generators."""
+random trees with hostile member lists (non-integer and unhashable members
+included), given as lists and as generators; and the refusal of non-integer
+and unhashable members by extraction and the definitional witness scan."""
 
 from __future__ import annotations
 
@@ -20,7 +21,11 @@ from primetrees.critical import Condition, ConditionReport, check_noncritical_se
 from primetrees.enumeration import all_trees
 from primetrees.families import path, pmn
 from primetrees.graph import GraphError, TreeCert, vertex_set
-from primetrees.minimal import check_minimal_set
+from primetrees.minimal import (
+    check_minimal_set,
+    extract_minimal_subtree,
+    prime_proper_subgraph_witness,
+)
 from primetrees.modules import tree_module_witness
 
 # ---------------------------------------------------------------------------
@@ -38,7 +43,11 @@ def _leaf_distance_condition(tree: TreeCert) -> Condition:
 def _validated_set(tree: TreeCert, members) -> tuple[int, ...]:
     if tree.n < 5:
         raise GraphError("the characterization is stated for trees with >= 5 vertices")
-    chosen = set(members)
+    members = list(members)
+    try:
+        chosen = set(members)
+    except TypeError:  # an unhashable member: the first non-integer as given
+        chosen = members
     if not chosen:
         raise GraphError("vertex set must be nonempty")
     for v in chosen:
@@ -187,8 +196,10 @@ def test_checkers_match_the_per_call_oracle_on_hostile_sets(tree, data):
     )
     # duplicates, out-of-range ids, internal vertices and sets past floor(n/2)
     members = data.draw(st.lists(vertex, max_size=2 * n), label="members")
-    # and a few members that are not integers, the first in set order named
-    stray = st.one_of(st.floats(), st.text(max_size=2), st.none())
+    # and a few members that are not integers, the first in set order named;
+    # an unhashable one (a list) names the first non-integer as given
+    unhashable = st.lists(st.integers(0, 3), max_size=1)
+    stray = st.one_of(st.floats(), st.text(max_size=2), st.none(), unhashable)
     for value in data.draw(st.lists(stray, max_size=2), label="non-integers"):
         members.insert(data.draw(st.integers(0, len(members)), label="at"), value)
     for _ in range(2):  # the second round reads the table the first one built
@@ -202,17 +213,27 @@ def test_checkers_match_the_per_call_oracle_on_hostile_sets(tree, data):
 
 def test_checkers_refuse_a_non_integer_member_before_any_verdict():
     tree = path(6).cert
-    for check in (check_noncritical_set, check_minimal_set):
+    readers = (
+        check_noncritical_set,
+        check_minimal_set,
+        extract_minimal_subtree,
+        prime_proper_subgraph_witness,
+    )
+    for check in readers:
         for members, message in (
             ([0, 2.5], "vertex 2.5 is not an integer"),
             ([2.0], "vertex 2.0 is not an integer"),
             ([9, "1"], "vertex '1' is not an integer"),
             ((v for v in (None, 3)), "vertex None is not an integer"),
+            ([[1]], "vertex [1] is not an integer"),
+            ([2, [1], 3.5], "vertex [1] is not an integer"),
+            ((v for v in (9, {0}, [1])), "vertex {0} is not an integer"),
             ([3, 9], "vertex 9 out of range 0..5"),
         ):
             with pytest.raises(GraphError) as caught:
                 check(tree, members)
             assert str(caught.value) == message, (check, members)
+    for check in (check_noncritical_set, check_minimal_set):
         with pytest.raises(GraphError, match=">= 5 vertices"):
             check(path(4).cert, [2.5])
 

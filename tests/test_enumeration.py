@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from collections import Counter
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice
 from math import factorial, isqrt, prod
 
 import pytest
@@ -266,15 +267,16 @@ def test_parent_array_coder_matches_the_adjacency_coder_on_long_paths_and_brooms
 
 
 def test_decoder_names_rooted_trees_as_the_byte_coder_does():
-    # the walk over every sequence with 3 <= n <= 7 yields the first tree of
-    # each rooted name only: one per rooted tree on n vertices (OEIS A000081),
-    # so the names split no class and merge none; equal names <=> equal AHU
-    # codes rooted at n-1
+    # the walk over every sequence with 3 <= n <= 7 (every arrangement of
+    # every multiset of n-2 entries) yields the first tree of each rooted name
+    # only: one per rooted tree on n vertices (OEIS A000081), so the names
+    # split no class and merge none; equal names <=> equal AHU codes rooted
+    # at n-1
     for n, rooted in zip(range(3, 8), (2, 4, 9, 20, 48)):
-        heads = product(range(n), repeat=n - 3)
+        tails = combinations_with_replacement(range(n), n - 2)
         codes = [
             adjacency_rooted_code(parent_adjacency(parent), n - 1)
-            for parent in _prufer_trees(n, heads, range(n), {})
+            for parent in _prufer_trees(n, (), tails, {}, set())
         ]
         assert len(codes) == len(set(codes)) == rooted
 
@@ -294,6 +296,21 @@ def test_prufer_decode_reads_no_prime_on_large_trees(monkeypatch):
     assert path_edges == [(v, v + 1) for v in range(n - 1)]
 
 
+def test_prufer_decode_walks_its_sequence_in_a_loop():
+    # the whole sequence is the walk's fixed prefix, stepped through in a
+    # plain loop: no recursion, however long the sequence
+    n = 10**5
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        star = prufer_decode((0,) * (n - 2), n)
+        path_edges = prufer_decode(tuple(range(1, n - 1)), n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert star == [(0, v) for v in range(1, n)]
+    assert path_edges == [(v, v + 1) for v in range(n - 1)]
+
+
 def test_the_walk_names_every_rooted_subtree_of_a_large_tree():
     # a new product takes the next prime of an unbounded stream, so the walk
     # names all 630 distinct rooted subtrees below this tree's root n-1, more
@@ -302,7 +319,7 @@ def test_the_walk_names_every_rooted_subtree_of_a_large_tree():
     n = 2000
     seq = [rng.randrange(n) for _ in range(n - 2)]
     names = {}
-    (parent,) = _prufer_trees(n, [seq[:-1]], seq[-1:], names)
+    (parent,) = _prufer_trees(n, tuple(seq), [()], names, set())
     kids = [[] for _ in parent]
     for v, p in enumerate(parent[:-1]):
         kids[p].append(v)
@@ -339,8 +356,8 @@ def test_prufer_decode_rejections():
 def test_guards():
     with pytest.raises(GraphError, match="1..18"):
         all_tree_codes(19)
-    with pytest.raises(GraphError, match="1..9"):
-        labeled_tree_class_codes(10)
+    with pytest.raises(GraphError, match="1..10"):
+        labeled_tree_class_codes(11)
     with pytest.raises(GraphError):
         all_tree_codes(0)
     all_tree_codes(5)  # cached: the float must still be refused

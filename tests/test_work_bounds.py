@@ -1,6 +1,7 @@
 """Bounds on repeated work: subset scans per call, worker processes per sweep,
-byte encodings per enumeration (none), decodings and encodings per labeled
-sweep, canonical codes per classification, per-tree facts per
+byte encodings per enumeration (none), per labeled sweep one shared walk that
+tests each sequence's root once and one rebuild and encoding per rooted
+name, canonical codes per classification, per-tree facts per
 characterization check, time per characterization check behind a wide hub,
 subtree lists per minimality scan, sets checked per k-minimality test and
 certificates per extraction, and heap work per extraction; and on the
@@ -108,24 +109,29 @@ def test_class_enumeration_encodes_no_tree(monkeypatch):
 def test_labeled_sweep_encodes_one_tree_per_rooted_name(monkeypatch):
     expected = frozenset(all_tree_codes(7))
     encoded = _count_encodings(monkeypatch)
-    decoded = []
+    walks = []
     walk = enumeration._prufer_trees
 
-    def counted_walk(n, heads, lasts, names):
-        # every head walked with every last entry is one decoded sequence
-        def counted_heads():
-            for head in heads:
-                decoded.extend([n] * len(lasts))
-                yield head
+    class CountedSet(set):
+        """Counts root lookups: the walk tests each sequence's root once."""
 
-        return walk(n, counted_heads(), lasts, names)
+        lookups = 0
+
+        def __contains__(self, root):
+            self.lookups += 1
+            return super().__contains__(root)
+
+    def counted_walk(n, prefix, tails, names, seen):
+        walks.append(CountedSet(seen))
+        return walk(n, prefix, tails, names, walks[-1])
 
     monkeypatch.setattr(enumeration, "_prufer_trees", counted_walk)
     assert labeled_tree_class_codes(7, jobs=1) == expected
-    # every one of the 7^5 sequences is decoded once, but only the first tree
-    # of each rooted name is encoded: 48 rooted trees on 7 vertices (OEIS
-    # A000081), not one encoding per sequence
-    assert decoded == [7] * 7**5
+    # one walk decodes every one of the 7^5 sequences once, but only the
+    # first tree of each rooted name is rebuilt, by a walk of its own
+    # sequence, and encoded: 48 rooted trees on 7 vertices (OEIS A000081),
+    # not one encoding per sequence
+    assert [seen.lookups for seen in walks] == [7**5] + [1] * 48
     assert encoded == [7] * 48
 
 
