@@ -176,30 +176,52 @@ def _leaf_table(tree: TreeCert) -> _LeafTable:
     return table
 
 
-def _read_members(tree: TreeCert, members) -> tuple[_LeafTable, set]:
-    """The tree's leaf table and the set of a characterization's members,
-    for trees with n >= 5 and a nonempty set.  Errors come in the order
-    n < 5, empty set, non-integer member, out-of-range id; the caller tests
-    the members, and `_refuse_members` names the offending one."""
+def _read_members(tree: TreeCert, members, marked: bool = False) -> tuple:
+    """The tree's leaf table, the set of a characterization's members and,
+    when `marked`, their `_member_mark` (else None), for n >= 5 and a
+    nonempty set.  Errors come in the order n < 5, empty set, non-integer
+    member, out-of-range id; without the mark the caller tests the ids."""
     if tree.graph.n < 5:
         raise GraphError("the characterization is stated for trees with >= 5 vertices")
-    chosen = _member_set(tree, members)
+    chosen, mark = _member_mark(tree, members) if marked else (_member_set(tree, members), None)
     if not chosen:
         raise GraphError("vertex set must be nonempty")
-    return tree._leaf_table or _leaf_table(tree), chosen
+    return tree._leaf_table or _leaf_table(tree), chosen, mark
 
 
 def _member_set(tree: TreeCert, members) -> set:
     """The set of `members`, which may be a one-shot iterator; a member that
     cannot be hashed is refused as a non-integer, naming the first
-    non-integer in the order read."""
-    if iter(members) is members:  # read once, kept to name a bad member
-        members = tuple(members)
+    non-integer in the order read, and one that is not iterable is refused
+    as such."""
+    try:
+        once = iter(members) is members  # read once, kept to name a bad member
+    except TypeError:
+        raise GraphError(f"vertex set {members!r} is not iterable") from None
+    members = tuple(members) if once else members
     try:
         return set(members)
     except TypeError:
         _refuse_members(tree, members)
         raise
+
+
+def _member_mark(tree: TreeCert, members) -> tuple[set, bytearray]:
+    """The set of `members` and an n-slot 0/1 bytearray marking them, each
+    checked to be an id in 0..n-1; a non-integer fails to index the mark, so
+    only the error path tests types.  `check_noncritical_set` keeps its own
+    pass, which writes leaf kinds and counts neighbours in one loop; the
+    mark first would cost its per-call path a second loop over the set."""
+    chosen, n = _member_set(tree, members), tree.graph.n
+    mark = bytearray(n)
+    try:
+        for v in chosen:
+            if not 0 <= v < n:
+                _refuse_members(tree, chosen)
+            mark[v] = 1
+    except TypeError:
+        _refuse_members(tree, chosen)
+    return chosen, mark
 
 
 def _refuse_members(tree: TreeCert, members) -> None:
@@ -232,7 +254,7 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     fact, so past two n-slot arrays a call costs O(|X| + sum of member
     degrees + leaves), however wide a support is.
     """
-    table, chosen = _read_members(tree, members)
+    table, chosen, _ = _read_members(tree, members)
     n, adj, kind, failures = table.n, table.adj, table.kind, table.failures
     # mark[v] holds member v's kind (never 0) and 0 elsewhere, so
     # mark.find(_INNER) is the smallest member that is not a leaf and

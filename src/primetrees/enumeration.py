@@ -261,8 +261,12 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     _check_integer(n, "vertex count")
     if n < 2:
         raise GraphError("sequence decoding needs n >= 2")
-    if len(seq) != n - 2:
-        raise GraphError(f"sequence length must be n-2 = {n - 2}, got {len(seq)}")
+    try:
+        length = len(seq)
+    except TypeError:
+        raise GraphError(f"sequence must have a length, got a {type(seq).__name__}") from None
+    if length != n - 2:
+        raise GraphError(f"sequence length must be n-2 = {n - 2}, got {length}")
     for x in seq:
         _check_integer(x, "sequence entry")
         if not 0 <= x < n:

@@ -20,13 +20,12 @@ from .critical import (
     Condition,
     ConditionReport,
     CriticalFamily,
-    _member_set,
+    _member_mark,
     _other_neighbor,
     _read_members,
-    _refuse_members,
     _report,
 )
-from .graph import MINIMALITY_GUARD, Graph, GraphError, TreeCert, _check_integer, certify_tree, vertex_set
+from .graph import MINIMALITY_GUARD, Graph, GraphError, TreeCert, _check_integer, certify_tree
 from .modules import tree_is_prime
 
 _C2_HOLDS = Condition(2, True, None, "every leaf or its support is in the set")
@@ -111,13 +110,7 @@ def prime_proper_subgraph_witness(
         raise GraphError(
             f"tree on {tree.n} vertices is too large for the definitional scan (guard {guard})"
         )
-    chosen = _member_set(tree, members)
-    try:  # a non-integer fails the shift; only then are the types tested
-        if any(not 0 <= v < tree.n for v in chosen):
-            _refuse_members(tree, chosen)
-        want = sum(1 << v for v in chosen)
-    except TypeError:
-        _refuse_members(tree, chosen)
+    want = sum(1 << v for v in _member_mark(tree, members)[0])
     for mask in _prime_proper_subtrees(tree):
         if mask & want == want:
             return _mask_members(mask)
@@ -140,24 +133,15 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     leaf's partners, the leaves at distance 2 from the support; only leaves
     of degree-2 supports have partners.  The per-tree facts come from the
     tree's leaf table and the per-set facts from the set of `members` (any
-    iterable), so a call costs O(|X| + leaves) steps, plus sorting the
-    support members.
+    iterable) and its member mark, so a call costs O(|X| + leaves) steps,
+    plus sorting the support members and zeroing the n-slot mark.
     """
-    table, chosen = _read_members(tree, members)
-    n = table.n
-    try:
-        for v in chosen:
-            if not 0 <= v < n:
-                _refuse_members(tree, chosen)
-        if type(sum(chosen)) is not int:  # a float in range, say
-            _refuse_members(tree, chosen)
-    except TypeError:
-        _refuse_members(tree, chosen)
+    table, chosen, mark = _read_members(tree, members, marked=True)
     failures, partners, pendant = table.failures, table.partners, table.pendant
 
     c2 = _C2_HOLDS
     for x, support, _, _ in table.rows:
-        if x not in chosen and support not in chosen:
+        if not (mark[x] or mark[support]):
             key = ("uncovered leaf", x)
             c2 = failures.get(key) or failures.setdefault(
                 key,
@@ -168,7 +152,7 @@ def check_minimal_set(tree: TreeCert, members) -> ConditionReport:
     c3 = _C3_HOLDS
     for xi in sorted(chosen.intersection(pendant)):
         leaf = pendant[xi]
-        if leaf in chosen or not chosen.isdisjoint(partners.get(leaf, ())):
+        if mark[leaf] or not chosen.isdisjoint(partners.get(leaf, ())):
             continue
         key = ("support member", xi)
         c3 = failures.get(key) or failures.setdefault(key, Condition(
@@ -234,13 +218,10 @@ class _SingleSteps:
                 else:
                     del keys[tag - 1]
                     heappop(heap)
-            if deg[x] != 1:
-                continue  # deleted by a pair step
             s = xor[x]
-            if deg[s] == 2 and pend[xor[s] ^ x] >= 0:
-                heappush(groups.setdefault(xor[s] ^ x, []), x)
-                continue
-            return x
+            if deg[s] != 2 or pend[xor[s] ^ x] < 0:
+                return x
+            heappush(groups.setdefault(xor[s] ^ x, []), x)
         return None
 
 
@@ -251,81 +232,62 @@ def extract_minimal_subtree(tree: TreeCert, members) -> tuple[TreeCert, tuple[in
     The result contains the set, is prime, and passes the minimality
     conditions (or is the 4-vertex path, which is minimal for everything).
 
-    A step removes vertices outside the set and leaves a prime tree.
-    Deleting an internal vertex disconnects, so a single step takes the
-    unpinned leaf with the smallest id whose deletion the partner rule of
-    the leaf table allows: its support s has degree >= 3, or s's other
-    neighbor w has no leaf.  Single steps alone can stall before minimality
-    (a pendant 2-path can be removable only as a whole), so when none is
-    left the step takes the first leaf x, by id, whose pair {x, s} is
-    unpinned and may go.  Every unpinned leaf then has a partner, so deg(s)
-    = 2 and w has a leaf; on n >= 6 vertices that makes deg(w) >= 3, and
-    T - {x, s} keeps every other vertex's role, so it is prime.  The pair
-    step is therefore the first unpinned leaf with an unpinned support, a
-    leaf that fails this never passes later, and a pair step makes no new
-    leaf.
+    Each step deletes vertices outside the set and leaves a prime tree;
+    deleting an internal vertex alone disconnects it.  Phase 1 deletes,
+    while it can, the unpinned leaf with the smallest id that the partner
+    rule of the leaf table allows: its support s has degree >= 3, or s's
+    other neighbor w has no leaf.  That can stall before minimality (a
+    pendant 2-path can be removable only as a whole), so phase 2 passes
+    once over the ids in increasing order and, while the tree has at least
+    6 vertices, deletes each unpinned leaf x that has an unpinned support s
+    together with s.  A greedy that tried single steps again after every
+    pair step takes the same steps, since a pair step never enables one:
+    - when phase 1 stops, every unpinned leaf x has a partner, so deg(s) = 2
+      and w has a leaf ℓ;
+    - on at least 6 vertices ℓ is pinned, or ℓ would have a partner too and
+      the tree would be x-s-w-ℓ; for the same reason deg(w) >= 3;
+    - deleting {x, s} changes only deg(w), and w's one leaf is pinned, so
+      the tree stays prime, no leaf gains a single step, no new leaf
+      appears, and every other candidate keeps its partner.
 
     Degrees, the XOR of each vertex's live neighbors (a degree-2 vertex's
     other neighbor is one XOR away) and each support's leaf live on the
-    input ids, and each step kind keeps a heap of candidate leaves, checked
-    when popped.  A single step at support s changes degrees and roles only
-    at s and, when s becomes a leaf, at its one neighbor, and the partner
-    rule reads at most three edges from its leaf, so only leaves within
-    distance 3 of s can change verdict.  Of those, only the new leaf s and
-    the leaves whose partner was s's leaf can become deletable, and only
-    they are queued again (`_SingleSteps`); leaves that gain a partner stay
-    queued and are checked again when popped.  The result is certified
-    once, and its leaf table answers the closing self-check.
+    input ids, and phase 1 keeps a heap of candidate leaves, checked when
+    popped.  A single step at s changes roles only at s and, when s becomes
+    a leaf, at its one neighbor, and the partner rule reads at most three
+    edges from its leaf, so only the new leaf s and the leaves whose
+    partner was s's leaf can become deletable, and only they are queued
+    again (`_SingleSteps`).  The result is certified once, and its leaf
+    table answers the closing self-check.
     """
     if not tree_is_prime(tree):
         raise GraphError("extraction needs a prime tree")
     n, adj = tree.n, tree.graph.adj
-    pin = bytearray(n)
-    chosen = _member_set(tree, members)
-    try:  # a non-integer fails to index; only then are the types tested
-        for v in chosen:
-            if not 0 <= v < n:
-                _refuse_members(tree, chosen)
-            pin[v] = 1
-    except TypeError:
-        _refuse_members(tree, chosen)
+    _, pin = _member_mark(tree, members)
     deg = list(map(len, adj))
     xor = [reduce(ixor, nbrs, 0) for nbrs in adj]
     pend = [-1] * n
     for x in tree.leaves:
         pend[adj[x][0]] = x
-    free = [x for x in tree.leaves if not pin[x]]
-    singles, pairs = _SingleSteps(free, n + 1), free[:]
+    singles = _SingleSteps([x for x in tree.leaves if not pin[x]], n + 1)
     size = n
-    while True:
-        x = singles.pop(deg, xor, pend)
-        if x is not None:
-            s = xor[x]
-            deg[x], size = 0, size - 1
-            deg[s] -= 1
-            xor[s] ^= x
-            pend[s] = -1
-            singles.wake(s)
-            if deg[s] == 1:
-                pend[xor[s]] = s
-                if not pin[s]:
-                    singles.push(s)
-                    heappush(pairs, s)
-            continue
+    while (x := singles.pop(deg, xor, pend)) is not None:
+        s = xor[x]
+        deg[x], size = 0, size - 1
+        deg[s] -= 1
+        xor[s] ^= x
+        pend[s] = -1
+        singles.wake(s)
+        if deg[s] == 1:
+            pend[xor[s]] = s
+            if not pin[s]:
+                singles.push(s)
+    for x in range(n):  # only leaves and their supports are read from here
         if size < 6:
             break
-        while pairs:
-            x = heappop(pairs)
-            if deg[x] == 1 and not pin[xor[x]]:
-                break
-        else:
-            break
-        s = xor[x]
-        w = xor[s] ^ x
-        deg[x] = deg[s] = 0
-        size -= 2
-        deg[w] -= 1
-        xor[w] ^= s
+        if deg[x] == 1 and not pin[x] and not pin[xor[x]]:
+            deg[x] = deg[xor[x]] = 0  # w keeps degree >= 2, so it stays live
+            size -= 2
 
     if size == n:
         cert, idmap = tree, tuple(range(n))
@@ -375,42 +337,39 @@ def classify_three_minimal(tree: TreeCert, members) -> MinimalForm:
     the 2-leg, tip of the n-leg}; S122, legs (1, 2, 2) with the set {short
     leaf, both 2-leg midpoints}.  Everything else is NotMinimal.
     """
-    chosen = vertex_set(members)
+    chosen, _ = _member_mark(tree, members)
     if len(chosen) != 3:
         raise GraphError(f"classification needs exactly 3 distinct vertices, got {len(chosen)}")
-    for v in chosen:
-        tree.graph.check_vertex(v)
     if not tree_is_prime(tree):
         return MinimalForm("NotMinimal")
     if tree.n == 4:
         return MinimalForm("P4")
     if not check_minimal_set(tree, chosen).overall:
         return MinimalForm("NotMinimal")
-    degrees = [tree.graph.degree(v) for v in range(tree.n)]
-    if max(degrees) <= 2:
+    # a minimal set holds a leaf or its support per leaf, so at most 3 leaves
+    adj = tree.graph.adj
+    if len(tree.leaves) == 2:
         return MinimalForm("PK", (tree.n,))
-    center = degrees.index(3)
+    center = next(v for v in range(tree.n) if len(adj[v]) == 3)
     legs: list[list[int]] = []
-    for first in tree.graph.adj[center]:
-        leg = [first]
-        prev = center
-        while tree.graph.degree(leg[-1]) == 2:
+    for first in adj[center]:
+        leg, prev = [first], center
+        while len(adj[leg[-1]]) == 2:
             leg.append(_other_neighbor(tree, leg[-1], prev))
             prev = leg[-2]
         legs.append(leg)
     legs.sort(key=len)
-    cset = set(chosen)
-    if cset == {leg[-1] for leg in legs}:
+    if chosen == {leg[-1] for leg in legs}:
         return MinimalForm("SKMN", tuple(len(leg) for leg in legs))
     if len(legs[0]) == 1:
         short_leaf = legs[0][0]
         if (
             len(legs[1]) == 2
             and len(legs[2]) == 2
-            and cset == {short_leaf, legs[1][0], legs[2][0]}
+            and chosen == {short_leaf, legs[1][0], legs[2][0]}
         ):
             return MinimalForm("S122")
         for mid_leg, long_leg in ((legs[1], legs[2]), (legs[2], legs[1])):
-            if len(mid_leg) == 2 and cset == {short_leaf, mid_leg[0], long_leg[-1]}:
+            if len(mid_leg) == 2 and chosen == {short_leaf, mid_leg[0], long_leg[-1]}:
                 return MinimalForm("S12N", (len(long_leg),))
     raise RuntimeError("minimal triple does not match any known shape")

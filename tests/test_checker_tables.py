@@ -3,8 +3,9 @@ tree, against a local copy of the per-call checkers they replaced: the full
 report (every condition's verdict, witness and note) or the exact error
 message, on every tree with 5 <= n <= 9 and every nonempty subset, and on
 random trees with hostile member lists (non-integer and unhashable members
-included), given as lists and as generators; and the refusal of non-integer
-and unhashable members by extraction and the definitional witness scan."""
+included), given as lists and as generators; and the refusal of non-integer,
+unhashable and non-iterable members by both checkers, extraction, the
+definitional witness scan and the three-set classifier."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from primetrees.families import path, pmn
 from primetrees.graph import GraphError, TreeCert, vertex_set
 from primetrees.minimal import (
     check_minimal_set,
+    classify_three_minimal,
     extract_minimal_subtree,
     prime_proper_subgraph_witness,
 )
@@ -218,9 +220,14 @@ def test_checkers_refuse_a_non_integer_member_before_any_verdict():
         check_minimal_set,
         extract_minimal_subtree,
         prime_proper_subgraph_witness,
+        classify_three_minimal,
     )
     for check in readers:
         for members, message in (
+            (5, "vertex set 5 is not iterable"),
+            (None, "vertex set None is not iterable"),
+            ([[1], 2, 3], "vertex [1] is not an integer"),
+            ([1, 2, "a"], "vertex 'a' is not an integer"),
             ([0, 2.5], "vertex 2.5 is not an integer"),
             ([2.0], "vertex 2.0 is not an integer"),
             ([9, "1"], "vertex '1' is not an integer"),

@@ -164,6 +164,8 @@ def test_decode_rejects_malformed():
         decode_canonical(b"110")
     with pytest.raises(GraphError):
         decode_canonical(b"10extra")
+    with pytest.raises(GraphError, match="^malformed tree code: unbalanced$"):
+        decode_canonical(b"100")
     with pytest.raises(GraphError):
         decode_canonical(b"")
 
@@ -342,6 +344,11 @@ def test_prime_stream_yields_the_primes_in_order():
 def test_prufer_decode_rejections():
     with pytest.raises(GraphError):
         prufer_decode((0,), 4)
+    with pytest.raises(GraphError, match="^sequence decoding needs n >= 2$"):
+        prufer_decode((), 1)
+    for seq, kind in (((x for x in (0, 1)), "generator"), (None, "NoneType")):
+        with pytest.raises(GraphError, match=f"^sequence must have a length, got a {kind}$"):
+            prufer_decode(seq, 4)
     with pytest.raises(GraphError):
         prufer_decode((9, 0), 4)
     for entry in (1.0, "a", None, True):

@@ -3,8 +3,10 @@ it replaced, which re-induces and certifies the subtree on every step and
 tests each pair step by definition: the same subtree and id map on every
 prime tree with 4 <= n <= 9 and every pinned subset, on random prime trees
 with random pinned sets, and on seeded relabeled family members up to about
-300 vertices; and the radius of a step's effect that the worklist relies
-on.  A faster extraction must keep this greedy order."""
+300 vertices; that the oracle, which tries single steps again after every
+step, never takes a single step after a pair step, so extraction may run
+them in two phases; and the radius of a step's effect that the worklist
+relies on.  A faster extraction must keep this greedy order."""
 
 from __future__ import annotations
 
@@ -45,13 +47,18 @@ def _oracle_step(graph: Graph, keep: set[int], pinned: set[int]) -> set[int] | N
     return None
 
 
-def extraction_oracle(tree: TreeCert, pinned) -> tuple[tuple, tuple[int, ...]]:
+def extraction_oracle(
+    tree: TreeCert, pinned
+) -> tuple[tuple, tuple[int, ...], list[int]]:
+    """The subtree's adjacency, its id map and the size of every step taken."""
     pinned = set(pinned)
     keep = set(range(tree.n))
+    sizes = []
     while (step := _oracle_step(tree.graph, keep, pinned)) is not None:
         keep -= step
+        sizes.append(len(step))
     sub, idmap = tree.graph.induced_subgraph(keep)
-    return sub.adj, idmap
+    return sub.adj, idmap, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +77,12 @@ def test_extraction_matches_the_oracle_on_every_pinned_subset():
                 continue
             for size in range(n + 1):  # the empty set included
                 for pinned in combinations(range(n), size):
-                    expected = extraction_oracle(tree, pinned)
-                    assert _extracted(tree, pinned) == expected, (tree, pinned)
+                    adj, idmap, sizes = extraction_oracle(tree, pinned)
+                    assert _extracted(tree, pinned) == (adj, idmap), (tree, pinned)
+                    # the oracle tries single steps again after every step,
+                    # yet a single step never follows a pair step: the
+                    # lemma that lets extraction run them in two phases
+                    assert sizes == sorted(sizes), (tree, pinned, sizes)
                     cases += 1
     assert cases == 7216
 
@@ -80,7 +91,7 @@ def test_extraction_matches_the_oracle_on_every_pinned_subset():
 @given(prime_trees(), st.data())
 def test_extraction_matches_the_oracle_on_random_prime_trees(tree, data):
     pinned = data.draw(st.sets(st.integers(0, tree.n - 1), max_size=6), label="pinned")
-    assert _extracted(tree, pinned) == extraction_oracle(tree, pinned)
+    assert _extracted(tree, pinned) == extraction_oracle(tree, pinned)[:2]
 
 
 def _distances(graph: Graph, source: int) -> list[int]:
@@ -147,6 +158,7 @@ def test_extraction_matches_the_oracle_on_relabeled_family_members():
                 tree = certify_tree(build_graph(tree.n, edges))
             for size in (0, 2, 5):
                 pinned = rng.sample(range(tree.n), size)
-                assert _extracted(tree, pinned) == extraction_oracle(tree, pinned), (tree, pinned)
+                expected = extraction_oracle(tree, pinned)[:2]
+                assert _extracted(tree, pinned) == expected, (tree, pinned)
                 cases += 1
     assert cases == 48

@@ -203,6 +203,8 @@ def test_is_k_minimal():
     for tree, k in ((p(6), 2.5), (p(6), True), (p(6), -1.5), (star, 3.0)):
         with pytest.raises(GraphError, match=f"^k {k} is not an integer$"):
             is_k_minimal(tree, k)
+    with pytest.raises(GraphError, match="^k must be >= 0, got -1$"):
+        is_k_minimal(p(6), -1)
 
 
 def test_is_k_minimal_matches_the_definition_on_every_small_tree():
@@ -250,8 +252,16 @@ def test_classify_three_minimal_negatives():
     assert str(classify_three_minimal(p(6), (0, 1, 2))) == "NotMinimal"
     star = certify_tree(build_graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert str(classify_three_minimal(star, (0, 1, 2))) == "NotMinimal"
-    with pytest.raises(GraphError, match="exactly 3"):
-        classify_three_minimal(p(6), (0, 1))
+    # members are read and checked first, then counted
+    for members, message in (
+        ((0, 1), "classification needs exactly 3 distinct vertices, got 2"),
+        ((0, 1, 2, 2, 3), "classification needs exactly 3 distinct vertices, got 4"),
+        ((0, 1, 9), "vertex 9 out of range 0..5"),
+        ((0, 9), "vertex 9 out of range 0..5"),
+    ):
+        with pytest.raises(GraphError) as caught:
+            classify_three_minimal(p(6), members)
+        assert str(caught.value) == message, members
 
 
 def test_classify_matches_brute_force_small():

@@ -53,6 +53,11 @@ def test_is_prime_examples():
     assert not is_prime(star(3))
     assert is_prime_brute_force(p(4))
     assert not is_prime_brute_force(p(3))
+    # non-trees take the subset scan: C4 and K4 have a module, C5 has none
+    c4, c5 = (build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (4, 5))
+    assert not is_prime(c4)
+    assert is_prime(c5)
+    assert not is_prime(build_graph(4, list(combinations(range(4), 2))))
 
 
 def test_is_indecomposable_has_no_size_floor():
