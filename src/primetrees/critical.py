@@ -356,7 +356,10 @@ def classify_critical_family(tree: TreeCert) -> CriticalFamily:
     the supports: n = 2 leaves + 1.  A hub h (with its one leaf) is a hub of
     the candidate exactly when at least deg(h) - 2 of its neighbors are
     degree-2 supports, pendant 2-paths: its last neighbor then leads along a
-    path to the other hub or to a leaf.  No canonical code is computed.
+    path to the other hub or to a leaf.  So no third hub passes: three hubs
+    would lie on one path (a branch vertex would be a hub with three links),
+    and the middle one would need its leaf, deg(h) - 2 legs and two links,
+    one more than its degree.  No canonical code is computed.
     """
     if not tree_is_prime(tree):
         raise GraphError("family classification is defined for prime trees only")
@@ -370,7 +373,7 @@ def classify_critical_family(tree: TreeCert) -> CriticalFamily:
             return CriticalFamily("Spider", ((n - 1) // 2,))
         return CriticalFamily("Other")
     excess = sorted(len(adj[h]) - 2 for h in hubs)
-    if len(hubs) > 2 or sum(excess) != pairs:
+    if sum(excess) != pairs:
         return CriticalFamily("Other")
     for h in hubs:
         legs = sum(1 for w in adj[h] if len(adj[w]) == 2 and tree.leaf_neighbors(w))

@@ -15,7 +15,8 @@ all, then 0; drawing each multiset in order from a byte-sorted pool writes
 its codes already sorted.  A tree with one centroid is that centroid with a
 multiset of branches of under n/2 vertices each; a tree with two is an edge
 joining two rooted halves of n/2 vertices, coded at the root that gives the
-smaller code.  The independent oracle decodes all n^(n-2) labeled trees and
+smaller code.  The independent oracle decodes the (n-2)^(n-2) labeled trees
+whose two top labels are leaves, which include a labeling of every tree, and
 names each subtree as its leaf is removed (Aho, Hopcroft and Ullman 1974): a
 prime, interned by the product of its children's names, which by unique
 factorisation fixes their multiset, so equal names mean isomorphic rooted
@@ -291,10 +292,10 @@ def _primes() -> Iterator[int]:
 
 
 def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
-    """Canonical codes of all labeled trees whose sequence starts with `prefix`:
-    the walk yields the first tree of each rooted name, and each is encoded."""
+    """Canonical codes of the trees whose sequence is `prefix`, then entries
+    below n-2: the walk yields the first tree of each rooted name to encode."""
     n, prefix = task
-    tails = combinations_with_replacement(range(n), n - 2 - len(prefix))
+    tails = combinations_with_replacement(range(n - 2), n - 2 - len(prefix))
     codes: set[bytes] = set()
     for parent in _prufer_trees(n, prefix, tails, {}, set()):
         order = [n - 1]  # a BFS from the root; reversed, children first
@@ -305,10 +306,13 @@ def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
 
 
 def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes]:
-    """Canonical codes reached by the full labeled sweep (oracle for all_tree_codes).
+    """Canonical codes reached by the labeled sweep (oracle for all_tree_codes).
 
-    The sequence space splits by first entry into n tasks across at most n
-    worker processes; the set union is independent of worker scheduling.
+    A vertex appears deg - 1 times in a Prüfer sequence, so the sequences
+    over 0..n-3 are the labeled trees in which n-2 and n-1 are leaves: a
+    labeling of every tree with n >= 3.  From n = 9 they split by first entry
+    into n-2 tasks on at most n-2 fork-server workers; the union of their
+    code sets is independent of worker scheduling.
     """
     _check_integer(n, "vertex count")
     if not 1 <= n <= LABELED_GUARD:
@@ -317,10 +321,11 @@ def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes
         return frozenset({_canonical_from_parents([n - 1] * (n - 1) + [-1], range(n))})
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs <= 1 or n < 7:
+    if jobs <= 1 or n < 9:
         return _labeled_sweep_chunk((n, ()))
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
-        parts = pool.map(_labeled_sweep_chunk, [(n, (first,)) for first in range(n)])
+    with ProcessPoolExecutor(min(jobs, n - 2), get_context("forkserver")) as pool:
+        parts = pool.map(_labeled_sweep_chunk, [(n, (first,)) for first in range(n - 2)])
         return frozenset().union(*parts)

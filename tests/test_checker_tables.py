@@ -236,6 +236,7 @@ def test_checkers_refuse_a_non_integer_member_before_any_verdict():
             ([2, [1], 3.5], "vertex [1] is not an integer"),
             ((v for v in (9, {0}, [1])), "vertex {0} is not an integer"),
             ([3, 9], "vertex 9 out of range 0..5"),
+            ([0, 9], "vertex 9 out of range 0..5"),
         ):
             with pytest.raises(GraphError) as caught:
                 check(tree, members)

@@ -119,6 +119,26 @@ def test_count_table_without_verification():
     assert all(row.enumerated is None and row.agree is None for row in table.rows)
 
 
+def test_count_table_rows_run_from_n_min_to_the_row_cap():
+    # each bound on both sides: n_max = n_min gives one row and n_min - 1
+    # is refused; n_max = COUNT_NMAX gives every row and one more is refused
+    for kind, n_min, closed_form in (
+        ("critical2", 5, minus2_critical_closed_form),
+        ("minimal3", 4, three_minimal_closed_form),
+    ):
+        rows = count_table(kind, n_min, verify=False).rows
+        assert [(row.n, row.formula, row.enumerated) for row in rows] == [(n_min, 1, None)]
+        below = f"^n_max must be >= {n_min} for {kind}, got {n_min - 1}$"
+        with pytest.raises(ValueError, match=below):
+            count_table(kind, n_min - 1, verify=False)
+        rows = count_table(kind, COUNT_NMAX, verify=False).rows
+        assert len(rows) == COUNT_NMAX - n_min + 1
+        assert (rows[-1].n, rows[-1].formula) == (COUNT_NMAX, closed_form(COUNT_NMAX))
+        above = f"^n_max must be <= {COUNT_NMAX}, got {COUNT_NMAX + 1}$"
+        with pytest.raises(ValueError, match=above):
+            count_table(kind, COUNT_NMAX + 1, verify=False)
+
+
 def test_count_table_with_verification():
     table = count_table("critical2", 9)
     assert table.all_agree

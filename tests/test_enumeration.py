@@ -283,6 +283,20 @@ def test_decoder_names_rooted_trees_as_the_byte_coder_does():
         assert len(codes) == len(set(codes)) == rooted
 
 
+def test_walk_over_the_low_labels_names_every_tree_rooted_at_a_leaf():
+    # a vertex appears deg - 1 times in a Prüfer sequence, so the sequences
+    # over 0..n-3 are the labeled trees in which n-2 and n-1 are leaves; the
+    # walk yields one per rooted name at the leaf n-1: a rooted tree on n-1
+    # vertices below it (OEIS A000081), so every rooted tree is reached
+    for n, rooted in zip(range(3, 10), (1, 2, 4, 9, 20, 48, 115)):
+        tails = combinations_with_replacement(range(n - 2), n - 2)
+        codes = []
+        for parent in _prufer_trees(n, (), tails, {}, set()):
+            assert n - 2 not in parent and parent.count(n - 1) == 1
+            codes.append(adjacency_rooted_code(parent_adjacency(parent), n - 1))
+        assert len(codes) == len(set(codes)) == rooted
+
+
 def test_prufer_decode_reads_no_prime_on_large_trees(monkeypatch):
     # decoding gives every subtree the name 1, so no prime is read however
     # many distinct subtrees the tree has

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from conftest import labeled_trees
 from primetrees.enumeration import all_trees
 from primetrees.families import pkt, skmn
-from primetrees.graph import GraphError, as_tree, build_graph, certify_tree, vertex_set
+from primetrees.graph import (
+    MINIMALITY_GUARD,
+    GraphError,
+    as_tree,
+    build_graph,
+    certify_tree,
+    vertex_set,
+)
 from primetrees.minimal import (
     check_minimal_set,
     classify_three_minimal,
@@ -56,6 +63,19 @@ def test_witness_matches_the_superset_scan_on_every_subset():
                 assert prime_proper_subgraph_witness(tree, chosen) == superset_scan_witness(
                     tree, chosen
                 ), (tree, chosen)
+
+
+def test_definitional_scan_runs_at_its_guard_and_refuses_past_it():
+    # the path on `guard` vertices is scanned, and only the whole path holds
+    # both ends; one vertex more is refused before any subtree is listed
+    for guard in (6, MINIMALITY_GUARD):
+        assert prime_proper_subgraph_witness(p(guard), (0, guard - 1), guard) is None
+        refusal = f"^tree on {guard + 1} vertices .* \\(guard {guard}\\)$"
+        with pytest.raises(GraphError, match=refusal):
+            prime_proper_subgraph_witness(p(guard + 1), (0, guard), guard)
+    assert prime_proper_subgraph_witness(p(MINIMALITY_GUARD), (0, 1)) == (0, 1, 2, 3)
+    with pytest.raises(GraphError, match=f"guard {MINIMALITY_GUARD}"):
+        prime_proper_subgraph_witness(p(MINIMALITY_GUARD + 1), (0, 1))
 
 
 def test_brute_force_rejections():

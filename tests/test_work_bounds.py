@@ -61,13 +61,15 @@ def test_prime_command_scans_a_decomposable_non_tree_once(monkeypatch, tmp_path)
 
 
 def test_labeled_sweep_pool_is_capped_by_task_count(monkeypatch):
-    sizes = []
+    sizes, methods = [], []
 
     class SerialExecutor:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+        """Stands in for ProcessPoolExecutor: records its size and start
+        method, maps in-process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             sizes.append(max_workers)
+            methods.append(mp_context.get_start_method())
 
         def __enter__(self):
             return self
@@ -79,9 +81,12 @@ def test_labeled_sweep_pool_is_capped_by_task_count(monkeypatch):
             return [fn(task) for task in tasks]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-    codes = labeled_tree_class_codes(7, jobs=64)
+    # n = 9 sequences split by first entry over 0..6: 7 tasks, so 7 workers,
+    # started by a fork server, never forked from this threaded process
+    codes = labeled_tree_class_codes(9, jobs=64)
     assert sizes == [7]
-    assert codes == frozenset(all_tree_codes(7))
+    assert methods == ["forkserver"]
+    assert codes == frozenset(all_tree_codes(9))
 
 
 def _count_encodings(monkeypatch) -> list[int]:
@@ -127,12 +132,12 @@ def test_labeled_sweep_encodes_one_tree_per_rooted_name(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_prufer_trees", counted_walk)
     assert labeled_tree_class_codes(7, jobs=1) == expected
-    # one walk decodes every one of the 7^5 sequences once, but only the
-    # first tree of each rooted name is rebuilt, by a walk of its own
-    # sequence, and encoded: 48 rooted trees on 7 vertices (OEIS A000081),
-    # not one encoding per sequence
-    assert [seen.lookups for seen in walks] == [7**5] + [1] * 48
-    assert encoded == [7] * 48
+    # one walk decodes every one of the 5^5 sequences over 0..4 once, but
+    # only the first tree of each rooted name is rebuilt, by a walk of its
+    # own sequence, and encoded: rooted at the leaf 6, 20 rooted trees on 6
+    # vertices below it (OEIS A000081), not one encoding per sequence
+    assert [seen.lookups for seen in walks] == [5**5] + [1] * 20
+    assert encoded == [7] * 20
 
 
 def test_enumerate_command_prints_the_codes_it_decoded(monkeypatch):
