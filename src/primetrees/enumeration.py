@@ -15,27 +15,30 @@ all, then 0; drawing each multiset in order from a byte-sorted pool writes
 its codes already sorted.  A tree with one centroid is that centroid with a
 multiset of branches of under n/2 vertices each; a tree with two is an edge
 joining two rooted halves of n/2 vertices, coded at the root that gives the
-smaller code.  The independent oracle decodes the (n-2)^(n-2) labeled trees
-whose two top labels are leaves, which include a labeling of every tree, and
-names each subtree as its leaf is removed (Aho, Hopcroft and Ullman 1974): a
-prime, interned by the product of its children's names, which by unique
-factorisation fixes their multiset, so equal names mean isomorphic rooted
-trees.  Sequences arranging one multiset share their steps up to their first
-difference, in one depth-first walk.  A tree rooted at n-1 is rebuilt and
-encoded by the one byte coder only when its rooted name is new.
+smaller code.  The independent oracle decodes labeled trees in which n-2
+and n-1 are leaves, their Prüfer sequences over 0..n-3.  Relabeling 0..n-3
+keeps a tree's class, so it takes one degree shape per partition of n-2 (the
+labels in order of falling degree) and every labeling of that shape, the
+arrangements of one sorted sequence: A005651(n-2) sequences in all, which
+include a labeling of every tree.  It names each subtree as its leaf is
+removed (Aho, Hopcroft and Ullman 1974): a prime, interned by the product of
+its children's names, which by unique factorisation fixes their multiset,
+so equal names mean isomorphic rooted trees.  Sequences arranging one
+multiset share their steps up to their first difference, in one depth-first
+walk.  A tree rooted at n-1 is rebuilt and encoded by the one byte coder
+only when its rooted name is new.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
-from itertools import combinations_with_replacement, count
+from itertools import count
 from typing import Iterator
 
 from .graph import GraphError, TreeCert, _check_integer, build_graph, certify_tree
 
 CLASS_GUARD = 18
-LABELED_GUARD = 10
+LABELED_GUARD = 12
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +294,15 @@ def _primes() -> Iterator[int]:
                 break
 
 
-def _labeled_sweep_chunk(task: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
-    """Canonical codes of the trees whose sequence is `prefix`, then entries
-    below n-2: the walk yields the first tree of each rooted name to encode."""
-    n, prefix = task
-    tails = combinations_with_replacement(range(n - 2), n - 2 - len(prefix))
-    codes: set[bytes] = set()
-    for parent in _prufer_trees(n, prefix, tails, {}, set()):
-        order = [n - 1]  # a BFS from the root; reversed, children first
-        for u in order:
-            order += [v for v, p in enumerate(parent) if p == u]
-        codes.add(_canonical_from_parents(parent, order[::-1]))
-    return frozenset(codes)
+def _degree_shapes(k: int, most: int | None = None, label: int = 0) -> Iterator[tuple[int, ...]]:
+    """One sorted Prüfer tail of length k per partition of k: label `label`
+    m_0 times, label + 1 m_1 times, ..., with most >= m_0 >= m_1 >= ... > 0."""
+    if k == 0:
+        yield ()
+        return
+    for m in range(min(k, most or k), 0, -1):
+        for rest in _degree_shapes(k - m, m, label + 1):
+            yield (label,) * m + rest
 
 
 def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes]:
@@ -310,22 +310,23 @@ def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes
 
     A vertex appears deg - 1 times in a Prüfer sequence, so the sequences
     over 0..n-3 are the labeled trees in which n-2 and n-1 are leaves: a
-    labeling of every tree with n >= 3.  From n = 9 they split by first entry
-    into n-2 tasks on at most n-2 fork-server workers; the union of their
-    code sets is independent of worker scheduling.
+    labeling of every tree with n >= 3.  Relabeling 0..n-3 keeps the class
+    and those two leaves, so each class also has such a labeling in which
+    label i appears m_i times with m_0 >= m_1 >= ...: the walk takes one
+    sorted tail per partition of n-2 (`_degree_shapes`) and every
+    arrangement of it, the labeled trees of that degree sequence.  It
+    yields the first tree of each rooted name to encode.  `jobs` is
+    accepted and ignored: the sweep runs in this process.
     """
     _check_integer(n, "vertex count")
     if not 1 <= n <= LABELED_GUARD:
         raise GraphError(f"labeled enumeration supports 1..{LABELED_GUARD} vertices, got {n}")
     if n <= 2:  # the star rooted at n-1 is the only tree
         return frozenset({_canonical_from_parents([n - 1] * (n - 1) + [-1], range(n))})
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or n < 9:
-        return _labeled_sweep_chunk((n, ()))
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with ProcessPoolExecutor(min(jobs, n - 2), get_context("forkserver")) as pool:
-        parts = pool.map(_labeled_sweep_chunk, [(n, (first,)) for first in range(n - 2)])
-        return frozenset().union(*parts)
+    codes: set[bytes] = set()
+    for parent in _prufer_trees(n, (), _degree_shapes(n - 2), {}, set()):
+        order = [n - 1]  # a BFS from the root; reversed, children first
+        for u in order:
+            order += [v for v, p in enumerate(parent) if p == u]
+        codes.add(_canonical_from_parents(parent, order[::-1]))
+    return frozenset(codes)

@@ -363,11 +363,9 @@ def classify_three_minimal(tree: TreeCert, members) -> MinimalForm:
         return MinimalForm("SKMN", tuple(len(leg) for leg in legs))
     if len(legs[0]) == 1:
         short_leaf = legs[0][0]
-        if (
-            len(legs[1]) == 2
-            and len(legs[2]) == 2
-            and chosen == {short_leaf, legs[1][0], legs[2][0]}
-        ):
+        # legs[1] has length 2 when legs[2] has: the sort puts it between
+        # legs[0] and legs[2], and a second 1-leg would be the short leaf's twin
+        if len(legs[2]) == 2 and chosen == {short_leaf, legs[1][0], legs[2][0]}:
             return MinimalForm("S122")
         for mid_leg, long_leg in ((legs[1], legs[2]), (legs[2], legs[1])):
             if len(mid_leg) == 2 and chosen == {short_leaf, mid_leg[0], long_leg[-1]}:

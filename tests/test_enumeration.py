@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import labeled_trees
 from primetrees import enumeration
 from primetrees.enumeration import (
+    _degree_shapes,
     _prufer_trees,
     all_tree_codes,
     all_trees,
@@ -287,14 +288,42 @@ def test_walk_over_the_low_labels_names_every_tree_rooted_at_a_leaf():
     # a vertex appears deg - 1 times in a Prüfer sequence, so the sequences
     # over 0..n-3 are the labeled trees in which n-2 and n-1 are leaves; the
     # walk yields one per rooted name at the leaf n-1: a rooted tree on n-1
-    # vertices below it (OEIS A000081), so every rooted tree is reached
+    # vertices below it (OEIS A000081), so every rooted tree is reached; the
+    # same holds for the degree shapes alone, one sorted tail per partition
     for n, rooted in zip(range(3, 10), (1, 2, 4, 9, 20, 48, 115)):
-        tails = combinations_with_replacement(range(n - 2), n - 2)
-        codes = []
-        for parent in _prufer_trees(n, (), tails, {}, set()):
-            assert n - 2 not in parent and parent.count(n - 1) == 1
-            codes.append(adjacency_rooted_code(parent_adjacency(parent), n - 1))
-        assert len(codes) == len(set(codes)) == rooted
+        for tails in (
+            combinations_with_replacement(range(n - 2), n - 2),
+            _degree_shapes(n - 2),
+        ):
+            codes = []
+            for parent in _prufer_trees(n, (), tails, {}, set()):
+                assert n - 2 not in parent and parent.count(n - 1) == 1
+                codes.append(adjacency_rooted_code(parent_adjacency(parent), n - 1))
+            assert len(codes) == len(set(codes)) == rooted
+
+
+def test_degree_shapes_are_the_partitions_of_the_tail_length():
+    # one sorted tail per partition of k (OEIS A000041), label i taking the
+    # i-th largest part; their arrangements number OEIS A005651(k)
+    partitions = (1, 2, 3, 5, 7, 11, 15, 22)
+    arrangements = (1, 3, 10, 47, 246, 1602, 11481, 95503)
+    for k, parts, total in zip(range(1, 9), partitions, arrangements):
+        tails = list(_degree_shapes(k))
+        assert len(tails) == len(set(tails)) == parts
+        walked = 0
+        for tail in tails:
+            counts = [tail.count(label) for label in range(max(tail) + 1)]
+            assert list(tail) == sorted(tail) and len(tail) == k
+            assert counts == sorted(counts, reverse=True) and min(counts) > 0
+            walked += factorial(k) // prod(map(factorial, counts))
+        assert walked == total
+
+
+def test_labeled_oracle_matches_the_generator():
+    # the one comparison of the oracle with Otter's join past the selftest's
+    # n = 9; CI runs n = 11 and 12, the guard
+    for n in range(1, 11):
+        assert labeled_tree_class_codes(n) == frozenset(all_tree_codes(n)), n
 
 
 def test_prufer_decode_reads_no_prime_on_large_trees(monkeypatch):
@@ -377,8 +406,8 @@ def test_prufer_decode_rejections():
 def test_guards():
     with pytest.raises(GraphError, match="1..18"):
         all_tree_codes(19)
-    with pytest.raises(GraphError, match="1..10"):
-        labeled_tree_class_codes(11)
+    with pytest.raises(GraphError, match="1..12"):
+        labeled_tree_class_codes(13)
     with pytest.raises(GraphError):
         all_tree_codes(0)
     all_tree_codes(5)  # cached: the float must still be refused

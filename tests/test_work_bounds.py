@@ -1,4 +1,4 @@
-"""Bounds on repeated work: subset scans per call, worker processes per sweep,
+"""Bounds on repeated work: subset scans per call, processes per sweep (none),
 byte encodings per enumeration (none), per labeled sweep one shared walk that
 tests each sequence's root once and one rebuild and encoding per rooted
 name, canonical codes per classification, per-tree facts per
@@ -10,6 +10,7 @@ canonical coder's memory."""
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import random
 import time
 import tracemalloc
@@ -60,33 +61,14 @@ def test_prime_command_scans_a_decomposable_non_tree_once(monkeypatch, tmp_path)
     assert calls == [16]
 
 
-def test_labeled_sweep_pool_is_capped_by_task_count(monkeypatch):
-    sizes, methods = [], []
+def test_labeled_sweep_starts_no_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the labeled sweep started a process")
 
-    class SerialExecutor:
-        """Stands in for ProcessPoolExecutor: records its size and start
-        method, maps in-process."""
-
-        def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
-            methods.append(mp_context.get_start_method())
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-    # n = 9 sequences split by first entry over 0..6: 7 tasks, so 7 workers,
-    # started by a fork server, never forked from this threaded process
-    codes = labeled_tree_class_codes(9, jobs=64)
-    assert sizes == [7]
-    assert methods == ["forkserver"]
-    assert codes == frozenset(all_tree_codes(9))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    # jobs is accepted and ignored: the sweep walks every sequence here
+    assert labeled_tree_class_codes(9, jobs=64) == frozenset(all_tree_codes(9))
 
 
 def _count_encodings(monkeypatch) -> list[int]:
@@ -132,11 +114,12 @@ def test_labeled_sweep_encodes_one_tree_per_rooted_name(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_prufer_trees", counted_walk)
     assert labeled_tree_class_codes(7, jobs=1) == expected
-    # one walk decodes every one of the 5^5 sequences over 0..4 once, but
-    # only the first tree of each rooted name is rebuilt, by a walk of its
-    # own sequence, and encoded: rooted at the leaf 6, 20 rooted trees on 6
-    # vertices below it (OEIS A000081), not one encoding per sequence
-    assert [seen.lookups for seen in walks] == [5**5] + [1] * 20
+    # one walk decodes each of the 246 arrangements (OEIS A005651) of the 7
+    # degree shapes over 0..4 once, but only the first tree of each rooted
+    # name is rebuilt, by a walk of its own sequence, and encoded: rooted at
+    # the leaf 6, 20 rooted trees on 6 vertices below it (OEIS A000081), not
+    # one encoding per sequence
+    assert [seen.lookups for seen in walks] == [246] + [1] * 20
     assert encoded == [7] * 20
 
 
