@@ -191,19 +191,24 @@ def _read_members(tree: TreeCert, members, marked: bool = False) -> tuple:
 
 def _member_set(tree: TreeCert, members) -> set:
     """The set of `members`, which may be a one-shot iterator; a member that
-    cannot be hashed is refused as a non-integer, naming the first
-    non-integer in the order read, and one that is not iterable is refused
-    as such."""
+    cannot be hashed, or a bool, is refused as a non-integer, naming the
+    first non-integer in the order read, and one that is not iterable is
+    refused as such.  True == 1 and False == 0, so only a set holding 0 or
+    1 can hide a bool, and the members are then read again, before
+    deduplication, where a bool could pass, or vanish, as an id."""
     try:
         once = iter(members) is members  # read once, kept to name a bad member
     except TypeError:
         raise GraphError(f"vertex set {members!r} is not iterable") from None
     members = tuple(members) if once else members
     try:
-        return set(members)
+        chosen = set(members)
     except TypeError:
         _refuse_members(tree, members)
         raise
+    if (0 in chosen or 1 in chosen) and bool in map(type, members):
+        _refuse_members(tree, members)
+    return chosen
 
 
 def _member_mark(tree: TreeCert, members) -> tuple[set, bytearray]:
@@ -226,10 +231,10 @@ def _member_mark(tree: TreeCert, members) -> tuple[set, bytearray]:
 
 def _refuse_members(tree: TreeCert, members) -> None:
     """Raise for the first member, in iteration order (set order for a
-    set), that is not an integer, else for the smallest id outside 0..n-1."""
+    set), that is not an integer or is a bool, else for the smallest id
+    outside 0..n-1."""
     for v in members:
-        if not isinstance(v, int):
-            _check_integer(v, "vertex")
+        _check_integer(v, "vertex")
     tree.graph.check_vertex(min(v for v in members if not 0 <= v < tree.n))
 
 

@@ -20,13 +20,16 @@ and n-1 are leaves, their Prüfer sequences over 0..n-3.  Relabeling 0..n-3
 keeps a tree's class, so it takes one degree shape per partition of n-2 (the
 labels in order of falling degree) and every labeling of that shape, the
 arrangements of one sorted sequence: A005651(n-2) sequences in all, which
-include a labeling of every tree.  It names each subtree as its leaf is
-removed (Aho, Hopcroft and Ullman 1974): a prime, interned by the product of
-its children's names, which by unique factorisation fixes their multiset,
-so equal names mean isomorphic rooted trees.  Sequences arranging one
-multiset share their steps up to their first difference, in one depth-first
-walk.  A tree rooted at n-1 is rebuilt and encoded by the one byte coder
-only when its rooted name is new.
+include a labeling of every tree.  Two parts do that work.  The namer walks
+the sequences without building a tree, keeping degrees and name products: it
+names each subtree as its leaf is removed (Aho, Hopcroft and Ullman 1974),
+a prime interned by the product of its children's names, which by unique
+factorisation fixes their multiset, so equal names mean isomorphic rooted
+trees.  Sequences arranging one multiset share their steps up to their
+first difference, in one depth-first walk.  The decoder, a plain loop and
+the only code that builds a tree from a sequence, serves `prufer_decode`
+and rebuilds the tree of each sequence whose name at n-1 is new, for the
+one byte coder.
 """
 
 from __future__ import annotations
@@ -197,66 +200,78 @@ def all_trees(n: int) -> Iterator[TreeCert]:
 # labeled trees (independent oracle)
 
 
-def _prufer_trees(n: int, prefix, tails, names: dict, seen: set) -> Iterator[list[int]]:
-    """Parent arrays, rooted at n-1 (parent -1), of the first tree of each
-    rooted name not in `seen` among the labeled trees on 0..n-1 whose
-    sequences are `prefix` then an arrangement of a sorted tail in `tails`.
-    Each step joins the smallest leaf to the next entry (n-1 after the last)
-    and multiplies that parent's product by the leaf's name, names[its
-    product], a new product taking the next prime of a stream opened per
-    call (none if names = {1: 1}).  Unchecked: n >= 2, entries in 0..n-1.
-    """
-    last, parent = n - 1, [-1] * n
-    primes, get = _primes(), names.get
+def _decode(seq, n: int) -> tuple[list[int], list[int]]:
+    """The labeled tree on 0..n-1 with Prüfer sequence `seq`: its parent
+    array, rooted at n-1 (parent -1), and its vertices in the order they
+    are removed, then n-1, which lists every vertex after its children.
+    Each step joins the smallest leaf to the next entry; the last leaf
+    joins n-1.  Unchecked: n >= 2, n-2 entries in 0..n-1."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    parent, order = [-1] * n, []
+    leaf = ptr = degree.index(1)
+    for x in seq:
+        parent[leaf] = x
+        order.append(leaf)
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            leaf = ptr = degree.index(1, ptr + 1)
+    parent[leaf] = n - 1
+    order += (leaf, n - 1)
+    return parent, order
+
+
+def _new_root_names(n: int, tail, names: dict, primes: Iterator[int], seen: set) -> list:
+    """The first sequence of each rooted name at n-1 not in `seen` among the
+    arrangements of the sorted `tail`, in depth-first order; each new name
+    is added to `seen`.  Each step removes the smallest leaf, names its
+    subtree names[the product of its children's names], a new product
+    taking the next prime of `primes`, and multiplies that name into the
+    next entry's product.  The arrangements share their steps up to their
+    first difference: the walk branches over the next entry, drawn from the
+    labels its caller still had to place, and undoes each step on return,
+    keeping degrees and products, no tree.  The last entry is finished
+    inline.  Unchecked: n >= 3, n-2 entries in 0..n-1."""
+    last, get = n - 1, names.get
+    degree = [tail.count(v) + 1 for v in range(n)]
+    prod, seq, found = [1] * n, list(tail), []
 
     def intern(p: int) -> int:
         names[p] = q = next(primes)
         return q
 
-    def branch(k: int, leaf: int, ptr: int) -> None:  # seq[-k:] is left, k >= 2
-        name = get(prod[leaf]) or intern(prod[leaf])
+    def branch(k: int, leaf: int, ptr: int, labels: list) -> None:  # seq[-k:] left, from labels
+        q = get(prod[leaf]) or intern(prod[leaf])
+        if k == 1:  # the last entry, x
+            for x in labels:
+                if degree[x] > 1:
+                    break
+            if x != last:  # the leaf joins x, then x joins n-1
+                root = prod[last] * (get(prod[x] * q) or intern(prod[x] * q))
+            else:  # the leaf joins n-1, then so does the leaf past ptr
+                w = prod[degree.index(1, ptr + 1)]
+                root = prod[last] * q * (get(w) or intern(w))
+            if root not in seen:
+                seen.add(root)
+                found.append((*seq[:-1], x))
+            return
         nxt = degree.index(1, ptr + 1)  # the smallest leaf past ptr
-        rest = [x for x in distinct if degree[x] > 1]
+        rest = [x for x in labels if degree[x] > 1]
         for x in rest:
             d, p, seq[-k] = degree[x], prod[x], x
-            degree[x], prod[x] = d - 1, p * name
+            degree[x], prod[x] = d - 1, p * q
             leaf2 = ptr2 = nxt if d > 2 or x > nxt else x  # x, if now a leaf below nxt
             if leaf2 < ptr:
                 ptr2 = ptr
-            if k > 2:
-                branch(k - 1, leaf2, ptr2)
-            else:  # the last entry z, then z or else the leaf past ptr2 joins n-1
-                z = x if d > 2 else rest[x == rest[0]]
-                q = get(prod[leaf2]) or intern(prod[leaf2])
-                w = prod[z] * q if z != last else prod[degree.index(1, ptr2 + 1)]
-                root = prod[last] * (get(w) or intern(w)) * (q if z == last else 1)
-                if root not in seen:
-                    seen.add(root)
-                    found.append((*seq[:-1], z))
+            branch(k - 1, leaf2, ptr2, rest)
             degree[x], prod[x] = d, p
 
-    for tail in tails:
-        degree = [1] * n + [1]  # the slot past n-1 stops the last step's scan
-        for x in (*prefix, *tail):
-            degree[x] += 1
-        prod = [1] * n
-        leaf = ptr = degree.index(1)
-        for x in prefix if len(tail) > 1 else (*prefix, *tail, last):
-            parent[leaf] = x
-            prod[x] *= get(prod[leaf]) or intern(prod[leaf])
-            degree[x] -= 1
-            if degree[x] == 1 and x < ptr:
-                leaf = x
-            else:
-                leaf = ptr = degree.index(1, ptr + 1)
-        if len(tail) > 1:  # its arrangements share their steps up to their first difference
-            seq, distinct, found = [*prefix, *tail], sorted(set(tail)), []
-            branch(len(tail), leaf, ptr)
-            for walk in found:  # rebuild each new name's tree from its sequence
-                yield from _prufer_trees(n, walk, [()], names, set())
-        elif prod[last] not in seen:
-            seen.add(prod[last])
-            yield parent
+    leaf = degree.index(1)
+    branch(n - 2, leaf, leaf, sorted(set(tail)))
+    return found
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -275,7 +290,7 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
         _check_integer(x, "sequence entry")
         if not 0 <= x < n:
             raise GraphError(f"sequence entry {x} out of range")
-    parent = next(_prufer_trees(n, seq, [()], {1: 1}, set()))
+    parent, _ = _decode(seq, n)
     return sorted((min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0)
 
 
@@ -299,7 +314,6 @@ def _degree_shapes(k: int, most: int | None = None, label: int = 0) -> Iterator[
     m_0 times, label + 1 m_1 times, ..., with most >= m_0 >= m_1 >= ... > 0."""
     if k == 0:
         yield ()
-        return
     for m in range(min(k, most or k), 0, -1):
         for rest in _degree_shapes(k - m, m, label + 1):
             yield (label,) * m + rest
@@ -314,19 +328,18 @@ def labeled_tree_class_codes(n: int, jobs: int | None = None) -> frozenset[bytes
     and those two leaves, so each class also has such a labeling in which
     label i appears m_i times with m_0 >= m_1 >= ...: the walk takes one
     sorted tail per partition of n-2 (`_degree_shapes`) and every
-    arrangement of it, the labeled trees of that degree sequence.  It
-    yields the first tree of each rooted name to encode.  `jobs` is
-    accepted and ignored: the sweep runs in this process.
+    arrangement of it, the labeled trees of that degree sequence.  The
+    namer gives the first sequence of each new name rooted at n-1, and
+    only that tree is decoded and encoded.  `jobs` is accepted and
+    ignored: the sweep runs in this process.
     """
     _check_integer(n, "vertex count")
     if not 1 <= n <= LABELED_GUARD:
         raise GraphError(f"labeled enumeration supports 1..{LABELED_GUARD} vertices, got {n}")
     if n <= 2:  # the star rooted at n-1 is the only tree
         return frozenset({_canonical_from_parents([n - 1] * (n - 1) + [-1], range(n))})
-    codes: set[bytes] = set()
-    for parent in _prufer_trees(n, (), _degree_shapes(n - 2), {}, set()):
-        order = [n - 1]  # a BFS from the root; reversed, children first
-        for u in order:
-            order += [v for v, p in enumerate(parent) if p == u]
-        codes.add(_canonical_from_parents(parent, order[::-1]))
+    names, primes, seen, codes = {}, _primes(), set(), set()
+    for tail in _degree_shapes(n - 2):
+        for seq in _new_root_names(n, tail, names, primes, seen):
+            codes.add(_canonical_from_parents(*_decode(seq, n)))
     return frozenset(codes)

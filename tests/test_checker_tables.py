@@ -2,10 +2,10 @@
 tree, against a local copy of the per-call checkers they replaced: the full
 report (every condition's verdict, witness and note) or the exact error
 message, on every tree with 5 <= n <= 9 and every nonempty subset, and on
-random trees with hostile member lists (non-integer and unhashable members
-included), given as lists and as generators; and the refusal of non-integer,
-unhashable and non-iterable members by both checkers, extraction, the
-definitional witness scan and the three-set classifier."""
+random trees with hostile member lists (non-integer, bool and unhashable
+members included), given as lists and as generators; and the refusal of
+non-integer, bool, unhashable and non-iterable members by both checkers,
+extraction, the definitional witness scan and the three-set classifier."""
 
 from __future__ import annotations
 
@@ -50,10 +50,12 @@ def _validated_set(tree: TreeCert, members) -> tuple[int, ...]:
         chosen = set(members)
     except TypeError:  # an unhashable member: the first non-integer as given
         chosen = members
+    if any(isinstance(v, bool) for v in members):  # likewise for a bool
+        chosen = members
     if not chosen:
         raise GraphError("vertex set must be nonempty")
     for v in chosen:
-        if not isinstance(v, int):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise GraphError(f"vertex {v!r} is not an integer")
     chosen = vertex_set(chosen)
     for v in chosen:
@@ -199,9 +201,9 @@ def test_checkers_match_the_per_call_oracle_on_hostile_sets(tree, data):
     # duplicates, out-of-range ids, internal vertices and sets past floor(n/2)
     members = data.draw(st.lists(vertex, max_size=2 * n), label="members")
     # and a few members that are not integers, the first in set order named;
-    # an unhashable one (a list) names the first non-integer as given
+    # an unhashable one (a list) or a bool names the first non-integer as given
     unhashable = st.lists(st.integers(0, 3), max_size=1)
-    stray = st.one_of(st.floats(), st.text(max_size=2), st.none(), unhashable)
+    stray = st.one_of(st.floats(), st.text(max_size=2), st.none(), unhashable, st.booleans())
     for value in data.draw(st.lists(stray, max_size=2), label="non-integers"):
         members.insert(data.draw(st.integers(0, len(members)), label="at"), value)
     for _ in range(2):  # the second round reads the table the first one built
@@ -235,6 +237,10 @@ def test_checkers_refuse_a_non_integer_member_before_any_verdict():
             ([[1]], "vertex [1] is not an integer"),
             ([2, [1], 3.5], "vertex [1] is not an integer"),
             ((v for v in (9, {0}, [1])), "vertex {0} is not an integer"),
+            ([True, 4], "vertex True is not an integer"),
+            ([False, 5], "vertex False is not an integer"),
+            ([1, True], "vertex True is not an integer"),
+            ([9, 2.5, False], "vertex 2.5 is not an integer"),
             ([3, 9], "vertex 9 out of range 0..5"),
             ([0, 9], "vertex 9 out of range 0..5"),
         ):

@@ -4,7 +4,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, product
 from math import factorial, isqrt, prod
 
 import pytest
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from conftest import labeled_trees
 from primetrees import enumeration
 from primetrees.enumeration import (
+    _decode,
     _degree_shapes,
-    _prufer_trees,
+    _new_root_names,
     all_tree_codes,
     all_trees,
     canonical_form,
@@ -269,17 +270,24 @@ def test_parent_array_coder_matches_the_adjacency_coder_on_long_paths_and_brooms
             assert canonical_form(relabeled(tree, rng)) == code
 
 
+def new_root_names(n, tails):
+    """The namer's first sequence of each rooted name over `tails`, one
+    stream of names and one set of seen roots shared by all of them."""
+    names, primes, seen = {}, enumeration._primes(), set()
+    return [seq for tail in tails for seq in _new_root_names(n, tail, names, primes, seen)]
+
+
 def test_decoder_names_rooted_trees_as_the_byte_coder_does():
     # the walk over every sequence with 3 <= n <= 7 (every arrangement of
-    # every multiset of n-2 entries) yields the first tree of each rooted name
-    # only: one per rooted tree on n vertices (OEIS A000081), so the names
-    # split no class and merge none; equal names <=> equal AHU codes rooted
-    # at n-1
+    # every multiset of n-2 entries, n-2 and n-1 included) gives the first
+    # sequence of each rooted name only: one per rooted tree on n vertices
+    # (OEIS A000081), so the names split no class and merge none; equal
+    # names <=> equal AHU codes rooted at n-1
     for n, rooted in zip(range(3, 8), (2, 4, 9, 20, 48)):
         tails = combinations_with_replacement(range(n), n - 2)
         codes = [
-            adjacency_rooted_code(parent_adjacency(parent), n - 1)
-            for parent in _prufer_trees(n, (), tails, {}, set())
+            adjacency_rooted_code(parent_adjacency(_decode(seq, n)[0]), n - 1)
+            for seq in new_root_names(n, tails)
         ]
         assert len(codes) == len(set(codes)) == rooted
 
@@ -287,7 +295,7 @@ def test_decoder_names_rooted_trees_as_the_byte_coder_does():
 def test_walk_over_the_low_labels_names_every_tree_rooted_at_a_leaf():
     # a vertex appears deg - 1 times in a Prüfer sequence, so the sequences
     # over 0..n-3 are the labeled trees in which n-2 and n-1 are leaves; the
-    # walk yields one per rooted name at the leaf n-1: a rooted tree on n-1
+    # walk gives one per rooted name at the leaf n-1: a rooted tree on n-1
     # vertices below it (OEIS A000081), so every rooted tree is reached; the
     # same holds for the degree shapes alone, one sorted tail per partition
     for n, rooted in zip(range(3, 10), (1, 2, 4, 9, 20, 48, 115)):
@@ -296,10 +304,22 @@ def test_walk_over_the_low_labels_names_every_tree_rooted_at_a_leaf():
             _degree_shapes(n - 2),
         ):
             codes = []
-            for parent in _prufer_trees(n, (), tails, {}, set()):
+            for seq in new_root_names(n, tails):
+                parent, _ = _decode(seq, n)
                 assert n - 2 not in parent and parent.count(n - 1) == 1
                 codes.append(adjacency_rooted_code(parent_adjacency(parent), n - 1))
             assert len(codes) == len(set(codes)) == rooted
+
+
+def test_decode_lists_every_vertex_after_its_children():
+    # the removal order, then the root n-1, feeds the byte coder directly
+    for n in range(2, 8):
+        for seq in product(range(n), repeat=n - 2):
+            parent, order = _decode(seq, n)
+            at = {v: i for i, v in enumerate(order)}
+            assert sorted(order) == list(range(n)) and order[-1] == n - 1
+            assert parent[n - 1] == -1
+            assert all(at[v] < at[parent[v]] for v in range(n - 1)), seq
 
 
 def test_degree_shapes_are_the_partitions_of_the_tail_length():
@@ -327,8 +347,8 @@ def test_labeled_oracle_matches_the_generator():
 
 
 def test_prufer_decode_reads_no_prime_on_large_trees(monkeypatch):
-    # decoding gives every subtree the name 1, so no prime is read however
-    # many distinct subtrees the tree has
+    # decoding names no subtree, so no prime is read however many distinct
+    # subtrees the tree has
     def no_primes():
         raise AssertionError("prufer_decode read a prime")
         yield  # a generator: the error comes with the first next()
@@ -342,8 +362,8 @@ def test_prufer_decode_reads_no_prime_on_large_trees(monkeypatch):
 
 
 def test_prufer_decode_walks_its_sequence_in_a_loop():
-    # the whole sequence is the walk's fixed prefix, stepped through in a
-    # plain loop: no recursion, however long the sequence
+    # the decoder steps through the whole sequence in a plain loop: no
+    # recursion, however long the sequence
     n = 10**5
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
@@ -356,26 +376,23 @@ def test_prufer_decode_walks_its_sequence_in_a_loop():
     assert path_edges == [(v, v + 1) for v in range(n - 1)]
 
 
-def test_the_walk_names_every_rooted_subtree_of_a_large_tree():
-    # a new product takes the next prime of an unbounded stream, so the walk
-    # names all 630 distinct rooted subtrees below this tree's root n-1, more
-    # than there are rooted trees on at most 9 vertices (486)
-    rng = random.Random(7)
-    n = 2000
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    names = {}
-    (parent,) = _prufer_trees(n, tuple(seq), [()], names, set())
-    kids = [[] for _ in parent]
-    for v, p in enumerate(parent[:-1]):
-        kids[p].append(v)
-    order = [n - 1]
-    for u in order:
-        order += kids[u]
-    ahu, ids = {}, [0] * n  # interned AHU tuples of sorted child ids
-    for u in reversed(order):
-        ids[u] = ahu.setdefault(tuple(sorted(ids[w] for w in kids[u])), len(ahu))
-    assert len(names) == len(set(ids[:-1])) == 630
-    assert sorted(names.values()) == list(islice(enumeration._primes(), 630))
+def test_the_sweep_interns_one_prime_per_rooted_tree_below_its_root(monkeypatch):
+    # a new product takes the next prime of an unbounded stream; at n = 10
+    # the sweep names every rooted tree on 1..9 vertices once, sum of OEIS
+    # A000081(1..9) = 486, and each of the 286 on 9 vertices below the leaf
+    # n-1 is a new root name
+    walk, calls = enumeration._new_root_names, []
+
+    def recorded(n, tail, names, primes, seen):
+        calls.append((names, seen))
+        return walk(n, tail, names, primes, seen)
+
+    monkeypatch.setattr(enumeration, "_new_root_names", recorded)
+    assert labeled_tree_class_codes(10) == frozenset(all_tree_codes(10))
+    names, seen = calls[-1]
+    assert all(call[0] is names and call[1] is seen for call in calls)
+    assert len(names) == 486 and len(seen) == 286
+    assert sorted(names.values()) == list(islice(enumeration._primes(), 486))
 
 
 def test_prime_stream_yields_the_primes_in_order():

@@ -1,6 +1,6 @@
 """Bounds on repeated work: subset scans per call, processes per sweep (none),
 byte encodings per enumeration (none), per labeled sweep one shared walk that
-tests each sequence's root once and one rebuild and encoding per rooted
+tests each sequence's root once and one decoding and encoding per rooted
 name, canonical codes per classification, per-tree facts per
 characterization check, time per characterization check behind a wide hub,
 subtree lists per minimality scan, sets checked per k-minimality test and
@@ -96,8 +96,7 @@ def test_class_enumeration_encodes_no_tree(monkeypatch):
 def test_labeled_sweep_encodes_one_tree_per_rooted_name(monkeypatch):
     expected = frozenset(all_tree_codes(7))
     encoded = _count_encodings(monkeypatch)
-    walks = []
-    walk = enumeration._prufer_trees
+    walk = enumeration._new_root_names
 
     class CountedSet(set):
         """Counts root lookups: the walk tests each sequence's root once."""
@@ -108,18 +107,19 @@ def test_labeled_sweep_encodes_one_tree_per_rooted_name(monkeypatch):
             self.lookups += 1
             return super().__contains__(root)
 
-    def counted_walk(n, prefix, tails, names, seen):
-        walks.append(CountedSet(seen))
-        return walk(n, prefix, tails, names, walks[-1])
+    seen = CountedSet()
 
-    monkeypatch.setattr(enumeration, "_prufer_trees", counted_walk)
+    def counted_walk(n, tail, names, primes, _):
+        return walk(n, tail, names, primes, seen)
+
+    monkeypatch.setattr(enumeration, "_new_root_names", counted_walk)
     assert labeled_tree_class_codes(7, jobs=1) == expected
-    # one walk decodes each of the 246 arrangements (OEIS A005651) of the 7
-    # degree shapes over 0..4 once, but only the first tree of each rooted
-    # name is rebuilt, by a walk of its own sequence, and encoded: rooted at
-    # the leaf 6, 20 rooted trees on 6 vertices below it (OEIS A000081), not
-    # one encoding per sequence
-    assert [seen.lookups for seen in walks] == [246] + [1] * 20
+    # the walk names each of the 246 arrangements (OEIS A005651) of the 7
+    # degree shapes over 0..4 once, but only the first sequence of each
+    # rooted name is decoded and encoded: rooted at the leaf 6, 20 rooted
+    # trees on 6 vertices below it (OEIS A000081), not one encoding per
+    # sequence
+    assert seen.lookups == 246 and len(seen) == 20
     assert encoded == [7] * 20
 
 
