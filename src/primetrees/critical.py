@@ -178,19 +178,21 @@ def _leaf_table(tree: TreeCert) -> _LeafTable:
 
 def _read_members(tree: TreeCert, members, marked: bool = False) -> tuple:
     """The tree's leaf table, the set of a characterization's members and,
-    when `marked`, their `_member_mark` (else None), for n >= 5 and a
-    nonempty set.  Errors come in the order n < 5, empty set, non-integer
-    member, out-of-range id; without the mark the caller tests the ids."""
+    when `marked`, their `_member_mark`, else the members in the order read
+    (to name a bad one), for n >= 5 and a nonempty set.  Errors come in the
+    order n < 5, empty set, non-integer member, out-of-range id; without the
+    mark the caller tests the ids."""
     if tree.graph.n < 5:
         raise GraphError("the characterization is stated for trees with >= 5 vertices")
-    chosen, mark = _member_mark(tree, members) if marked else (_member_set(tree, members), None)
+    chosen, mark_or_read = _member_mark(tree, members) if marked else _member_set(tree, members)
     if not chosen:
         raise GraphError("vertex set must be nonempty")
-    return tree._leaf_table or _leaf_table(tree), chosen, mark
+    return tree._leaf_table or _leaf_table(tree), chosen, mark_or_read
 
 
-def _member_set(tree: TreeCert, members) -> set:
-    """The set of `members`, which may be a one-shot iterator; a member that
+def _member_set(tree: TreeCert, members) -> tuple[set, object]:
+    """The set of `members`, which may be a one-shot iterator, and the
+    members in the order read (a tuple for a one-shot iterator); a member that
     cannot be hashed, or a bool, is refused as a non-integer, naming the
     first non-integer in the order read, and one that is not iterable is
     refused as such.  True == 1 and False == 0, so only a set holding 0 or
@@ -208,7 +210,7 @@ def _member_set(tree: TreeCert, members) -> set:
         raise
     if (0 in chosen or 1 in chosen) and bool in map(type, members):
         _refuse_members(tree, members)
-    return chosen
+    return chosen, members
 
 
 def _member_mark(tree: TreeCert, members) -> tuple[set, bytearray]:
@@ -217,22 +219,21 @@ def _member_mark(tree: TreeCert, members) -> tuple[set, bytearray]:
     only the error path tests types.  `check_noncritical_set` keeps its own
     pass, which writes leaf kinds and counts neighbours in one loop; the
     mark first would cost its per-call path a second loop over the set."""
-    chosen, n = _member_set(tree, members), tree.graph.n
+    (chosen, members), n = _member_set(tree, members), tree.graph.n
     mark = bytearray(n)
     try:
         for v in chosen:
             if not 0 <= v < n:
-                _refuse_members(tree, chosen)
+                _refuse_members(tree, members)
             mark[v] = 1
     except TypeError:
-        _refuse_members(tree, chosen)
+        _refuse_members(tree, members)
     return chosen, mark
 
 
 def _refuse_members(tree: TreeCert, members) -> None:
-    """Raise for the first member, in iteration order (set order for a
-    set), that is not an integer or is a bool, else for the smallest id
-    outside 0..n-1."""
+    """Raise for the first member, in the order read, that is not an
+    integer or is a bool, else for the smallest id outside 0..n-1."""
     for v in members:
         _check_integer(v, "vertex")
     tree.graph.check_vertex(min(v for v in members if not 0 <= v < tree.n))
@@ -259,7 +260,7 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     fact, so past two n-slot arrays a call costs O(|X| + sum of member
     degrees + leaves), however wide a support is.
     """
-    table, chosen, _ = _read_members(tree, members)
+    table, chosen, read = _read_members(tree, members)
     n, adj, kind, failures = table.n, table.adj, table.kind, table.failures
     # mark[v] holds member v's kind (never 0) and 0 elsewhere, so
     # mark.find(_INNER) is the smallest member that is not a leaf and
@@ -269,12 +270,12 @@ def check_noncritical_set(tree: TreeCert, members) -> ConditionReport:
     try:
         for v in chosen:
             if not 0 <= v < n:
-                _refuse_members(tree, chosen)
+                _refuse_members(tree, read)
             mark[v] = kind[v]
             for w in adj[v]:
                 near[w] += 1
     except TypeError:
-        _refuse_members(tree, chosen)
+        _refuse_members(tree, read)
 
     non_leaf = mark.find(_INNER)
     if non_leaf >= 0:

@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterator
 
-from .graph import GraphError, TreeCert, _check_integer, build_graph, certify_tree
+from .graph import Graph, GraphError, TreeCert, _check_integer, certify_tree
 
 CLASS_GUARD = 18
 LABELED_GUARD = 12
@@ -125,16 +125,16 @@ def canonical_form(tree: TreeCert) -> bytes:
 
 
 def decode_canonical(code: bytes) -> TreeCert:
-    """Rebuild a tree from a canonical (or any well-formed 1/0) code."""
-    edges: list[tuple[int, int]] = []
+    """Rebuild a tree from a canonical (or any well-formed 1/0) code.  Ids
+    follow preorder, so each list (parent, then children in turn) is sorted."""
+    adj: list[list[int]] = []
     stack: list[int] = []
-    count = 0
     for ch in code:
         if ch == 0x31:  # '1'
-            v = count
-            count += 1
+            v = len(adj)
             if stack:
-                edges.append((stack[-1], v))
+                adj[stack[-1]].append(v)
+            adj.append(stack[-1:])  # [parent], or [] at a root
             stack.append(v)
         elif ch == 0x30:  # '0'
             if not stack:
@@ -142,9 +142,9 @@ def decode_canonical(code: bytes) -> TreeCert:
             stack.pop()
         else:
             raise GraphError(f"malformed tree code: byte {ch:#x}")
-    if stack or count == 0:
+    if stack or not adj:
         raise GraphError("malformed tree code: unbalanced")
-    return certify_tree(build_graph(count, edges))
+    return certify_tree(Graph(len(adj), tuple(map(tuple, adj))))
 
 
 # ---------------------------------------------------------------------------

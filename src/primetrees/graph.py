@@ -141,12 +141,12 @@ class TreeCert:
         self.graph = graph
         leaf_children: dict[int, list[int]] = {}
         leaves = []
-        for v in range(graph.n):
-            if graph.degree(v) == 1:
+        for v, ws in enumerate(graph.adj):
+            if len(ws) == 1:
                 leaves.append(v)
-                leaf_children.setdefault(graph.adj[v][0], []).append(v)
+                leaf_children.setdefault(ws[0], []).append(v)
         self.leaves = tuple(leaves)
-        self.supports = vertex_set(leaf_children)
+        self.supports = tuple(sorted(leaf_children))
         self._leaf_children = {s: tuple(ls) for s, ls in leaf_children.items()}
         # per-tree caches of the kernels, built on first use: the prime-tree
         # leaf table and the definitional minimality scan's subtree list

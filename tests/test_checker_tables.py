@@ -5,10 +5,13 @@ message, on every tree with 5 <= n <= 9 and every nonempty subset, and on
 random trees with hostile member lists (non-integer, bool and unhashable
 members included), given as lists and as generators; and the refusal of
 non-integer, bool, unhashable and non-iterable members by both checkers,
-extraction, the definitional witness scan and the three-set classifier."""
+extraction, the definitional witness scan and the three-set classifier, with
+the same text under every string hash seed."""
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 from itertools import combinations
@@ -48,15 +51,18 @@ def _validated_set(tree: TreeCert, members) -> tuple[int, ...]:
     members = list(members)
     try:
         chosen = set(members)
-    except TypeError:  # an unhashable member: the first non-integer as given
+    except TypeError:  # an unhashable member
         chosen = members
-    if any(isinstance(v, bool) for v in members):  # likewise for a bool
+    if any(isinstance(v, bool) for v in members):  # a bool, which 0 or 1 may hide
         chosen = members
     if not chosen:
         raise GraphError("vertex set must be nonempty")
-    for v in chosen:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise GraphError(f"vertex {v!r} is not an integer")
+    # the first non-integer in the order read, if the set holds one (a float
+    # equal to an integer read before it is not held)
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in chosen):
+        for v in members:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise GraphError(f"vertex {v!r} is not an integer")
     chosen = vertex_set(chosen)
     for v in chosen:
         tree.graph.check_vertex(v)
@@ -200,8 +206,8 @@ def test_checkers_match_the_per_call_oracle_on_hostile_sets(tree, data):
     )
     # duplicates, out-of-range ids, internal vertices and sets past floor(n/2)
     members = data.draw(st.lists(vertex, max_size=2 * n), label="members")
-    # and a few members that are not integers, the first in set order named;
-    # an unhashable one (a list) or a bool names the first non-integer as given
+    # and a few members that are not integers (unhashable ones and bools
+    # too), the first in the order read named
     unhashable = st.lists(st.integers(0, 3), max_size=1)
     stray = st.one_of(st.floats(), st.text(max_size=2), st.none(), unhashable, st.booleans())
     for value in data.draw(st.lists(stray, max_size=2), label="non-integers"):
@@ -250,6 +256,46 @@ def test_checkers_refuse_a_non_integer_member_before_any_verdict():
     for check in (check_noncritical_set, check_minimal_set):
         with pytest.raises(GraphError, match=">= 5 vertices"):
             check(path(4).cert, [2.5])
+
+
+# Run under several PYTHONHASHSEED values: print each reader's refusal of
+# member lists whose non-integers are strings, which a set holds in an order
+# that follows the per-process string hash.
+_REFUSALS = """
+from primetrees.critical import check_noncritical_set
+from primetrees.families import path
+from primetrees.graph import GraphError
+from primetrees.minimal import (
+    check_minimal_set, classify_three_minimal, extract_minimal_subtree,
+    prime_proper_subgraph_witness,
+)
+for check in (
+    check_noncritical_set, check_minimal_set, extract_minimal_subtree,
+    prime_proper_subgraph_witness, classify_three_minimal,
+):
+    for members in ([2.5, "a", "b", 3], ["b", "a", 9], iter(["a", "c", "b"])):
+        try:
+            check(path(6).cert, members)
+        except GraphError as exc:
+            print(exc)
+"""
+
+
+def test_refusals_name_the_first_non_integer_under_every_hash_seed():
+    expected = [
+        "vertex 2.5 is not an integer",
+        "vertex 'b' is not an integer",
+        "vertex 'a' is not an integer",
+    ] * 5
+    for seed in range(1, 7):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REFUSALS],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == expected, seed
 
 
 def test_threads_sharing_one_fresh_tree_get_the_oracle_reports():

@@ -162,14 +162,56 @@ def test_decode_round_trip():
 
 
 def test_decode_rejects_malformed():
-    with pytest.raises(GraphError):
-        decode_canonical(b"110")
-    with pytest.raises(GraphError):
-        decode_canonical(b"10extra")
-    with pytest.raises(GraphError, match="^malformed tree code: unbalanced$"):
-        decode_canonical(b"100")
-    with pytest.raises(GraphError):
-        decode_canonical(b"")
+    for code, message in (
+        (b"110", "malformed tree code: unbalanced"),
+        (b"10extra", "malformed tree code: byte 0x65"),
+        (b"100", "malformed tree code: unbalanced"),
+        (b"", "malformed tree code: unbalanced"),
+        (b"01", "malformed tree code: unbalanced"),
+        # two roots: the certificate, not the parse, refuses a forest
+        (b"1010", "not a tree: 0 edges on 2 vertices"),
+    ):
+        with pytest.raises(GraphError) as caught:
+            decode_canonical(code)
+        assert str(caught.value) == message, code
+
+
+def _stack_parse(code):
+    """The vertex count and parent-child edges of a well-formed 1/0 code,
+    ids in preorder."""
+    edges, stack, n = [], [], 0
+    for ch in code:
+        if ch == ord("1"):
+            if stack:
+                edges.append((stack[-1], n))
+            stack.append(n)
+            n += 1
+        else:
+            stack.pop()
+    return n, edges
+
+
+def _random_code(rng, n):
+    """A well-formed 1/0 code of a random rooted tree on n vertices."""
+    out, depth, left = ["1"], 0, n - 1  # depth below the root, '1's to write
+    while left or depth:
+        if left and (depth == 0 or rng.random() < 0.5):
+            out.append("1")
+            depth, left = depth + 1, left - 1
+        else:
+            out.append("0")
+            depth -= 1
+    return "".join(out).encode() + b"0"
+
+
+def test_decode_matches_build_graph_on_a_stack_parse():
+    # the decoder writes its neighbour tuples itself; build_graph on the
+    # edges of a plain parse must give the same graph
+    rng = random.Random(20261021)
+    codes = [code for n in range(1, 14) for code in all_tree_codes(n)]
+    codes += [_random_code(rng, rng.randint(1, 40)) for _ in range(3000)]
+    for code in codes:
+        assert decode_canonical(code).graph == build_graph(*_stack_parse(code)), code
 
 
 def test_prufer_decode_is_a_tree():

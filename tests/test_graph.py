@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import simple_graphs
+from conftest import labeled_trees, simple_graphs
 import primetrees.graph
 from primetrees.graph import (
     GUARD_CAP,
@@ -105,6 +105,16 @@ def test_certify_tree_rejections():
         certify_tree(disconnected)
     with pytest.raises(GraphError, match="not a tree"):
         certify_tree(build_graph(0, []))
+
+
+@given(labeled_trees(max_n=40))
+def test_tree_cert_facts_match_their_definitions(tree):
+    g = tree.graph
+    leaf = [g.degree(v) == 1 for v in range(g.n)]
+    assert tree.leaves == tuple(v for v in range(g.n) if leaf[v])
+    assert tree.supports == tuple(v for v in range(g.n) if any(leaf[w] for w in g.adj[v]))
+    for v in range(g.n):
+        assert tree.leaf_neighbors(v) == tuple(w for w in g.adj[v] if leaf[w])
 
 
 def test_support_of_rejects_internal():

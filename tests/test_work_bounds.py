@@ -3,9 +3,9 @@ byte encodings per enumeration (none), per labeled sweep one shared walk that
 tests each sequence's root once and one decoding and encoding per rooted
 name, canonical codes per classification, per-tree facts per
 characterization check, time per characterization check behind a wide hub,
-subtree lists per minimality scan, sets checked per k-minimality test and
-certificates per extraction, and heap work per extraction; and on the
-canonical coder's memory."""
+time to certify a star with 2*10^5 leaves, subtree lists per minimality
+scan, sets checked per k-minimality test and certificates per extraction,
+and heap work per extraction; and on the canonical coder's memory."""
 
 from __future__ import annotations
 
@@ -212,6 +212,17 @@ def test_checkers_stay_linear_when_one_hub_decides_every_outside_leaf():
         # about 10 ms on 2 CPUs; a count of the hub's members kept per
         # outside leaf would take minutes
         assert elapsed < 2.0, f"{tree.n} vertices: took {elapsed:.2f}s, budget 2s"
+
+
+def test_certifying_a_wide_star_is_linear():
+    star = build_graph(200_001, [(0, v) for v in range(1, 200_001)])
+    start = time.perf_counter()
+    tree = certify_tree(star)
+    elapsed = time.perf_counter() - start
+    assert tree.supports == (0,) and len(tree.leaf_neighbors(0)) == 200_000
+    # about 0.02 s on 2 CPUs; building the hub's leaf tuple by concatenation
+    # would take minutes
+    assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
 
 
 def test_minimality_scan_lists_the_subtrees_once_per_tree(monkeypatch):
